@@ -7,12 +7,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pab_analog::RectoPiezo;
 use pab_channel::{Pool, Position};
 use pab_core::link::{LinkConfig, LinkSimulator};
-use pab_core::network::{ConcurrentConfig, ConcurrentSimulator};
+use pab_core::collision_group::{CollisionGroupConfig, CollisionGroupSimulator};
 use pab_core::node::PabNode;
 use pab_core::powerup::max_powerup_distance_m;
 use pab_core::receiver::Receiver;
 use pab_net::fm0;
-use pab_net::packet::{Command, SensorKind, UplinkPacket};
+use pab_net::packet::{Command, DownlinkQuery, SensorKind, UplinkPacket};
 use pab_piezo::Transducer;
 
 /// Fig. 2 kernel: demodulate a 0.5 s received waveform.
@@ -119,10 +119,14 @@ fn fig10_concurrent(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(30))
         .warm_up_time(std::time::Duration::from_secs(2));
+    let queries = [1, 2].map(|dest| DownlinkQuery {
+        dest,
+        command: Command::Ping,
+    });
     group.bench_function("fig10_three_slot_collision", |b| {
         b.iter_batched(
-            || ConcurrentSimulator::new(ConcurrentConfig::default()).unwrap(),
-            |mut sim| sim.run().unwrap(),
+            || CollisionGroupSimulator::from_config(CollisionGroupConfig::fig10()).unwrap(),
+            |mut sim| sim.run_trial(&queries).unwrap(),
             BatchSize::PerIteration,
         )
     });

@@ -134,67 +134,6 @@ pub fn estimate_channel(y: &[f64], x: &[&[f64]]) -> Result<AffineChannel, CoreEr
     })
 }
 
-/// Zero-forcing separation of two streams from two receive bands.
-///
-/// `y` holds the two band envelopes; `ch` their estimated affine channels
-/// (each with two gains). Returns the two recovered stream estimates.
-pub fn zero_force_two(
-    y: &[Vec<f64>; 2],
-    ch: &[AffineChannel; 2],
-) -> Result<[Vec<f64>; 2], CoreError> {
-    let n = y[0].len().min(y[1].len());
-    if ch[0].gains.len() != 2 || ch[1].gains.len() != 2 {
-        return Err(CoreError::InvalidConfig("need 2 gains per channel"));
-    }
-    let a = [
-        [ch[0].gains[0], ch[0].gains[1]],
-        [ch[1].gains[0], ch[1].gains[1]],
-    ];
-    // Scale-invariant singularity test: the condition number doesn't care
-    // whether the gains are O(1) or O(1e-9), only whether the two bands'
-    // observations are linearly independent.
-    let condition_number = condition_number_2x2(ch);
-    if !(condition_number < SINGULAR_CONDITION) {
-        return Err(CoreError::SingularChannel { condition_number });
-    }
-    let det = a[0][0] * a[1][1] - a[0][1] * a[1][0];
-    let inv = [
-        [a[1][1] / det, -a[0][1] / det],
-        [-a[1][0] / det, a[0][0] / det],
-    ];
-    let mut s1 = Vec::with_capacity(n);
-    let mut s2 = Vec::with_capacity(n);
-    for t in 0..n {
-        let r1 = y[0][t] - ch[0].offset;
-        let r2 = y[1][t] - ch[1].offset;
-        s1.push(inv[0][0] * r1 + inv[0][1] * r2);
-        s2.push(inv[1][0] * r1 + inv[1][1] * r2);
-    }
-    Ok([s1, s2])
-}
-
-/// Condition number (2-norm, via singular values) of the 2×2 channel
-/// matrix — the paper's footnote 7 argues recto-piezos make this matrix
-/// better conditioned.
-// lint: unitless condition number (ratio of singular values)
-pub fn condition_number_2x2(ch: &[AffineChannel; 2]) -> f64 {
-    let a = ch[0].gains[0];
-    let b = ch[0].gains[1];
-    let c = ch[1].gains[0];
-    let d = ch[1].gains[1];
-    // Singular values of [[a,b],[c,d]].
-    let q1 = a * a + b * b + c * c + d * d;
-    let det = a * d - b * c;
-    let q2 = (q1 * q1 - 4.0 * det * det).max(0.0).sqrt();
-    let s_max = ((q1 + q2) / 2.0).sqrt();
-    let s_min = ((q1 - q2) / 2.0).max(0.0).sqrt();
-    if s_min == 0.0 {
-        f64::INFINITY
-    } else {
-        s_max / s_min
-    }
-}
-
 /// SINR (dB) of an estimated stream against its ground truth: regress
 /// `est = α + β·truth` and compare explained to residual power.
 pub fn sinr_db(estimate: &[f64], truth: &[f64]) -> f64 {
@@ -256,47 +195,11 @@ pub fn estimate_channel_complex(
     })
 }
 
-/// Coherent zero-forcing of two real streams from two complex baseband
-/// bands: invert the complex 2×2 matrix and take the real part (the
-/// transmit streams are real switching waveforms).
-pub fn zero_force_two_complex(
-    y: &[Vec<num_complex::Complex64>; 2],
-    ch: &[ComplexAffineChannel; 2],
-) -> Result<[Vec<f64>; 2], CoreError> {
-    if ch[0].gains.len() != 2 || ch[1].gains.len() != 2 {
-        return Err(CoreError::InvalidConfig("need 2 gains per channel"));
-    }
-    let n = y[0].len().min(y[1].len());
-    let a = [
-        [ch[0].gains[0], ch[0].gains[1]],
-        [ch[1].gains[0], ch[1].gains[1]],
-    ];
-    // Same scale-invariant test as the real-valued path: reject on the
-    // condition number, not the raw determinant magnitude.
-    let condition_number = condition_number_2x2_complex(ch);
-    if !(condition_number < SINGULAR_CONDITION) {
-        return Err(CoreError::SingularChannel { condition_number });
-    }
-    let det = a[0][0] * a[1][1] - a[0][1] * a[1][0];
-    let inv = [
-        [a[1][1] / det, -a[0][1] / det],
-        [-a[1][0] / det, a[0][0] / det],
-    ];
-    let mut s1 = Vec::with_capacity(n);
-    let mut s2 = Vec::with_capacity(n);
-    for t in 0..n {
-        let r1 = y[0][t] - ch[0].offset;
-        let r2 = y[1][t] - ch[1].offset;
-        s1.push((inv[0][0] * r1 + inv[0][1] * r2).re);
-        s2.push((inv[1][0] * r1 + inv[1][1] * r2).re);
-    }
-    Ok([s1, s2])
-}
-
 /// Condition number of the complex 2×2 channel matrix (singular values of
-/// the complex matrix).
-// lint: unitless condition number (ratio of singular values)
-pub fn condition_number_2x2_complex(ch: &[ComplexAffineChannel; 2]) -> f64 {
+/// the complex matrix), in closed form — the 2-node case of
+/// [`condition_number_n`]. The paper's footnote 7 argues recto-piezos make
+/// this matrix better conditioned.
+fn condition_number_2x2_complex(ch: &[ComplexAffineChannel]) -> f64 {
     let a = ch[0].gains[0];
     let b = ch[0].gains[1];
     let c = ch[1].gains[0];
@@ -384,8 +287,9 @@ pub fn invert_complex(
 }
 
 /// Coherent zero-forcing of `n` real streams from `n` complex baseband
-/// bands — the general form of [`zero_force_two_complex`] for larger FDMA
-/// deployments (§8's scaling direction).
+/// bands: invert the complex `n×n` channel matrix and take the real part
+/// (the transmit streams are real switching waveforms). Two bands cover
+/// Fig. 10; more cover §8's scaling direction.
 pub fn zero_force_n_complex(
     y: &[Vec<num_complex::Complex64>],
     ch: &[ComplexAffineChannel],
@@ -394,8 +298,10 @@ pub fn zero_force_n_complex(
     if n == 0 || ch.len() != n || ch.iter().any(|c| c.gains.len() != n) {
         return Err(CoreError::InvalidConfig("band/stream count mismatch"));
     }
-    // Scale-invariant singularity test (see `zero_force_two`): surface
-    // the condition number instead of failing deep inside the solver.
+    // Scale-invariant singularity test: the condition number doesn't care
+    // whether the gains are O(1) or O(1e-9), only whether the bands'
+    // observations are linearly independent. Surface it instead of
+    // failing deep inside the solver.
     let condition_number = condition_number_n(ch);
     if !(condition_number < SINGULAR_CONDITION) {
         return Err(CoreError::SingularChannel { condition_number });
@@ -428,7 +334,7 @@ pub fn condition_number_n(ch: &[ComplexAffineChannel]) -> f64 {
         return f64::INFINITY;
     }
     if n == 2 {
-        return condition_number_2x2_complex(&[ch[0].clone(), ch[1].clone()]);
+        return condition_number_2x2_complex(ch);
     }
     // Gram matrix G = A^H A (Hermitian positive semidefinite).
     let a: Vec<Vec<Complex64>> = ch.iter().map(|c| c.gains.clone()).collect();
@@ -529,6 +435,19 @@ mod tests {
             .collect()
     }
 
+    /// A real-valued band observation as complex baseband.
+    fn real_band(y: &[f64]) -> Vec<num_complex::Complex64> {
+        y.iter().map(|&v| num_complex::Complex64::new(v, 0.0)).collect()
+    }
+
+    /// A real affine channel as a complex one with zero phase.
+    fn real_ch(ch: &AffineChannel) -> ComplexAffineChannel {
+        ComplexAffineChannel {
+            offset: num_complex::Complex64::new(ch.offset, 0.0),
+            gains: ch.gains.iter().map(|&g| num_complex::Complex64::new(g, 0.0)).collect(),
+        }
+    }
+
     #[test]
     fn solve_linear_3x3() {
         let a = vec![
@@ -580,11 +499,12 @@ mod tests {
         let y2 = mk(0.7, 0.2, 0.55, &mut rng);
         let ch1 = estimate_channel(&y1, &[&x1, &x2]).unwrap();
         let ch2 = estimate_channel(&y2, &[&x1, &x2]).unwrap();
-        let [s1, s2] = zero_force_two(&[y1.clone(), y2.clone()], &[ch1, ch2]).unwrap();
+        let s = zero_force_n_complex(&[real_band(&y1), real_band(&y2)], &[real_ch(&ch1), real_ch(&ch2)])
+            .unwrap();
         // After projection, each stream correlates with its truth much
         // better than the naive per-band estimate.
-        let after1 = sinr_db(&s1, &x1);
-        let after2 = sinr_db(&s2, &x2);
+        let after1 = sinr_db(&s[0], &x1);
+        let after2 = sinr_db(&s[1], &x2);
         let before1 = sinr_db(&naive_stream_estimate(&y1), &x1);
         let before2 = sinr_db(&naive_stream_estimate(&y2), &x2);
         assert!(after1 > before1 + 3.0, "after {after1} before {before1}");
@@ -595,25 +515,22 @@ mod tests {
     #[test]
     fn condition_number_identity_is_one() {
         let ch = [
-            AffineChannel { offset: 0.0, gains: vec![1.0, 0.0] },
-            AffineChannel { offset: 0.0, gains: vec![0.0, 1.0] },
+            real_ch(&AffineChannel { offset: 0.0, gains: vec![1.0, 0.0] }),
+            real_ch(&AffineChannel { offset: 0.0, gains: vec![0.0, 1.0] }),
         ];
-        assert!((condition_number_2x2(&ch) - 1.0).abs() < 1e-9);
-        let bad = [
-            AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] },
-            AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] },
-        ];
-        assert!(condition_number_2x2(&bad).is_infinite());
+        assert!((condition_number_n(&ch) - 1.0).abs() < 1e-9);
+        let bad = real_ch(&AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] });
+        assert!(condition_number_n(&[bad.clone(), bad]).is_infinite());
     }
 
     #[test]
     fn zero_forcing_rejects_singular_channels() {
-        let ch = AffineChannel {
+        let ch = real_ch(&AffineChannel {
             offset: 0.0,
             gains: vec![1.0, 1.0],
-        };
-        let y = [vec![0.0; 4], vec![0.0; 4]];
-        assert!(zero_force_two(&y, &[ch.clone(), ch]).is_err());
+        });
+        let y = vec![real_band(&[0.0; 4]); 2];
+        assert!(zero_force_n_complex(&y, &[ch.clone(), ch]).is_err());
     }
 
     #[test]
@@ -657,10 +574,10 @@ mod tests {
                 gains: vec![h[1][0], h[1][1]],
             },
         ];
-        let [s1, s2] = zero_force_two_complex(&y, &ch).unwrap();
-        assert!(sinr_db(&s1, &x1) > 60.0);
-        assert!(sinr_db(&s2, &x2) > 60.0);
-        assert!(condition_number_2x2_complex(&ch).is_finite());
+        let s = zero_force_n_complex(&y, &ch).unwrap();
+        assert!(sinr_db(&s[0], &x1) > 60.0);
+        assert!(sinr_db(&s[1], &x2) > 60.0);
+        assert!(condition_number_n(&ch).is_finite());
     }
 
     #[test]
@@ -672,8 +589,8 @@ mod tests {
             gains: vec![g, g],
         };
         let y = [vec![Complex64::new(0.0, 0.0); 4], vec![Complex64::new(0.0, 0.0); 4]];
-        assert!(zero_force_two_complex(&y, &[ch.clone(), ch.clone()]).is_err());
-        assert!(condition_number_2x2_complex(&[ch.clone(), ch]).is_infinite());
+        assert!(zero_force_n_complex(&y, &[ch.clone(), ch.clone()]).is_err());
+        assert!(condition_number_n(&[ch.clone(), ch]).is_infinite());
     }
 
     #[test]
@@ -786,9 +703,8 @@ mod tests {
                 gains: vec![Complex64::new(0.0, 0.1), Complex64::new(0.5, 0.0)],
             },
         ];
-        let pair = [ch[0].clone(), ch[1].clone()];
         let a = condition_number_n(&ch);
-        let b = condition_number_2x2_complex(&pair);
+        let b = condition_number_2x2_complex(&ch);
         assert!((a - b).abs() / b < 1e-9, "{a} vs {b}");
     }
 
@@ -809,26 +725,17 @@ mod tests {
         // Long-range regression: spreading + absorption losses shrink the
         // gains to ~1e-9, so det ~ 1e-18 — far below the old absolute
         // `det.abs() < 1e-15` cutoff — but the matrix is perfectly
-        // conditioned and must decode.
+        // conditioned and must decode, with real and with complex gains.
+        use num_complex::Complex64;
         let n = 4000;
         let x1 = square_wave(n, 6, 0);
         let x2 = square_wave(n, 10, 4);
         let g = 1e-9;
-        let ch = [
-            AffineChannel { offset: 0.0, gains: vec![1.2 * g, 0.3 * g] },
-            AffineChannel { offset: 0.0, gains: vec![-0.2 * g, 0.9 * g] },
+        let real = vec![
+            real_ch(&AffineChannel { offset: 0.0, gains: vec![1.2 * g, 0.3 * g] }),
+            real_ch(&AffineChannel { offset: 0.0, gains: vec![-0.2 * g, 0.9 * g] }),
         ];
-        let y = [
-            (0..n).map(|t| ch[0].gains[0] * x1[t] + ch[0].gains[1] * x2[t]).collect::<Vec<_>>(),
-            (0..n).map(|t| ch[1].gains[0] * x1[t] + ch[1].gains[1] * x2[t]).collect::<Vec<_>>(),
-        ];
-        assert!(condition_number_2x2(&ch) < 3.0);
-        let [s1, s2] = zero_force_two(&y, &ch).expect("well-conditioned tiny gains must decode");
-        assert!(sinr_db(&s1, &x1) > 60.0);
-        assert!(sinr_db(&s2, &x2) > 60.0);
-        // Complex twin of the same regression.
-        use num_complex::Complex64;
-        let chc = [
+        let complex = vec![
             ComplexAffineChannel {
                 offset: Complex64::new(0.0, 0.0),
                 gains: vec![Complex64::new(1.2 * g, 0.0), Complex64::new(0.0, 0.3 * g)],
@@ -838,21 +745,24 @@ mod tests {
                 gains: vec![Complex64::new(0.0, -0.2 * g), Complex64::new(0.9 * g, 0.0)],
             },
         ];
-        let yc = [
-            (0..n).map(|t| chc[0].gains[0] * x1[t] + chc[0].gains[1] * x2[t]).collect::<Vec<_>>(),
-            (0..n).map(|t| chc[1].gains[0] * x1[t] + chc[1].gains[1] * x2[t]).collect::<Vec<_>>(),
-        ];
-        let [c1, c2] = zero_force_two_complex(&yc, &chc)
-            .expect("well-conditioned tiny complex gains must decode");
-        assert!(sinr_db(&c1, &x1) > 60.0);
-        assert!(sinr_db(&c2, &x2) > 60.0);
+        for ch in [real, complex] {
+            let y: Vec<Vec<Complex64>> = ch
+                .iter()
+                .map(|c| (0..n).map(|t| c.gains[0] * x1[t] + c.gains[1] * x2[t]).collect())
+                .collect();
+            assert!(condition_number_n(&ch) < 3.0);
+            let s = zero_force_n_complex(&y, &ch)
+                .expect("well-conditioned tiny gains must decode");
+            assert!(sinr_db(&s[0], &x1) > 60.0);
+            assert!(sinr_db(&s[1], &x2) > 60.0);
+        }
     }
 
     #[test]
     fn singular_rejection_carries_condition_number() {
-        let ch = AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] };
-        let y = [vec![0.0; 4], vec![0.0; 4]];
-        match zero_force_two(&y, &[ch.clone(), ch]) {
+        let ch = real_ch(&AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] });
+        let y = vec![real_band(&[0.0; 4]); 2];
+        match zero_force_n_complex(&y, &[ch.clone(), ch]) {
             Err(CoreError::SingularChannel { condition_number }) => {
                 assert!(condition_number.is_infinite());
             }

@@ -90,9 +90,6 @@ pub struct LinkReport {
     pub crc_ok: bool,
     /// The decoded packet (when CRC passed).
     pub packet: Option<UplinkPacket>,
-    /// Bit error rate against the expected packet bits.
-    // lint: unitless bit error rate in [0, 1]
-    pub ber: f64,
     /// Receiver-estimated SNR of the backscatter modulation, dB.
     pub snr_db: f64,
     /// Whether the receiver found a packet preamble at all. `false` is an
@@ -468,7 +465,7 @@ impl LinkSimulator {
         let decoded = self
             .receiver
             .decode_uplink(&recorded, self.cfg.carrier_hz, bitrate);
-        Ok(self.build_report(command, node_out, decoded, bitrate, recorded))
+        Ok(self.build_report(node_out, decoded, bitrate, recorded))
     }
 
     /// Run one query/response exchange addressed to `dest` with a
@@ -527,7 +524,7 @@ impl LinkSimulator {
         self.projector.cfo_hz = saved_cfo_hz;
         let (tx_wave, _query_end) = wave?;
         let incident = self.ch_pn.apply(&tx_wave, fs_hz);
-        self.faulted_tail(command, faults, t_start_s, tel, &tx_wave, incident)
+        self.faulted_tail(faults, t_start_s, tel, &tx_wave, incident)
     }
 
     /// The faulted exchange chain downstream of query synthesis and the
@@ -538,7 +535,6 @@ impl LinkSimulator {
     /// from here on is identical either way.
     fn faulted_tail(
         &mut self,
-        command: Command,
         faults: &pab_channel::FaultSchedule,
         t_start_s: f64,
         tel: Option<&mut pab_telemetry::Recorder>,
@@ -602,7 +598,7 @@ impl LinkSimulator {
         let decoded =
             self.receiver
                 .decode_uplink_traced(&recorded, self.cfg.carrier_hz, bitrate, tel);
-        Ok(self.build_report(command, node_out, decoded, bitrate, recorded))
+        Ok(self.build_report(node_out, decoded, bitrate, recorded))
     }
 
     /// Run one fault-scheduled slot exchange through the caching slot
@@ -709,7 +705,6 @@ impl LinkSimulator {
                 }
             };
             let report = self.faulted_tail(
-                command,
                 faults,
                 t_start_s,
                 tel,
@@ -843,45 +838,18 @@ impl LinkSimulator {
 
     fn build_report(
         &self,
-        command: Command,
         node_out: NodeOutput,
         decoded: Result<Decoded, CoreError>,
         bitrate: f64,
         received: Vec<f64>,
     ) -> LinkReport {
-        // What the node should have sent (the simulation knows the water
-        // truth, so it can reconstruct the expected packet bits).
-        let expected_bits: Option<Vec<bool>> = node_out.decoded_query.and_then(|_q| {
-            let kind = match command {
-                Command::ReadSensor(k) => Some(k),
-                _ => None,
-            };
-            match kind {
-                Some(SensorKind::Ph) => None, // exact ADC value is quantized; skip
-                _ => None,
-            }
-        });
         match decoded {
             Ok(d) => {
                 let crc_ok = d.packet.is_ok();
                 let packet = d.packet.ok();
-                let ber = match (&expected_bits, crc_ok) {
-                    (_, true) => 0.0,
-                    (Some(exp), false) => {
-                        let n = exp.len().min(d.bits.len());
-                        if n == 0 {
-                            1.0
-                        } else {
-                            pab_net::bits::hamming_distance(&exp[..n], &d.bits[..n]) as f64
-                                / n as f64
-                        }
-                    }
-                    (None, false) => f64::NAN,
-                };
                 LinkReport {
                     crc_ok,
                     packet,
-                    ber,
                     snr_db: d.snr_db,
                     preamble_found: true,
                     preamble_corr: d.preamble_corr,
@@ -897,7 +865,6 @@ impl LinkSimulator {
             Err(_) => LinkReport {
                 crc_ok: false,
                 packet: None,
-                ber: f64::NAN,
                 snr_db: f64::NEG_INFINITY,
                 preamble_found: false,
                 preamble_corr: 0.0,

@@ -15,19 +15,30 @@
 //!    conditioning degrades and streams fail — the transducer-bandwidth
 //!    limit.
 
-use pab_core::multinode::{MultiNodeConfig, MultiNodeSimulator};
+use pab_core::collision_group::{CollisionGroupConfig, CollisionGroupSimulator};
 use pab_experiments::{banner, write_csv};
+use pab_net::packet::{Command, DownlinkQuery, BROADCAST_ADDR};
 
-fn run_and_print(label: &str, cfg: MultiNodeConfig, rows: &mut Vec<String>) {
+fn run_and_print(label: &str, cfg: CollisionGroupConfig, rows: &mut Vec<String>) {
     println!("--- {label}");
-    let mut sim = match MultiNodeSimulator::new(cfg) {
+    // One broadcast ping keyed identically on every carrier — the paper's
+    // own Fig. 10 procedure ("transmits a downlink signal at both
+    // frequencies"). Every node hears one clean PWM query regardless of
+    // how much of its neighbours' channels it picks up, so all answer at
+    // the same moment: a genuine N-way uplink collision.
+    let broadcast = DownlinkQuery {
+        dest: BROADCAST_ADDR,
+        command: Command::Ping,
+    };
+    let queries = vec![broadcast; cfg.members.len()];
+    let mut sim = match CollisionGroupSimulator::from_config(cfg) {
         Ok(s) => s,
         Err(e) => {
             println!("    setup failed: {e}");
             return;
         }
     };
-    match sim.run() {
+    match sim.run_trial(&queries) {
         Ok(r) => {
             println!(
                 "    condition number of the 3x3 channel matrix: {:.2}",
@@ -79,24 +90,24 @@ fn main() -> std::io::Result<()> {
     );
 
     // Case 1: per-channel ceramics (the paper's 'novel transducer
-    // designs' remedy) — the crate default.
+    // designs' remedy).
     let mut rows = Vec::new();
     run_and_print(
         "three ceramics (13/16/19.5 kHz) on channels 12.5/15.5/19 kHz",
-        MultiNodeConfig::default(),
+        CollisionGroupConfig::three_channel(),
         &mut rows,
     );
 
     // Case 2: the same channels forced onto the paper's single ~16.5 kHz
     // ceramic type: recto-piezo tuning alone cannot separate three
     // channels this far apart.
-    let mut same = MultiNodeConfig::default();
-    for n in &mut same.nodes {
-        n.ceramic_resonance_hz = None;
+    let mut same = CollisionGroupConfig::three_channel();
+    for m in &mut same.members {
+        m.ceramic_resonance_hz = None;
     }
     // Pull the outer channels into the single ceramic's usable band.
-    same.nodes[0].carrier_hz = 13_000.0;
-    same.nodes[2].carrier_hz = 18_000.0;
+    same.members[0].carrier_hz = 13_000.0;
+    same.members[2].carrier_hz = 18_000.0;
     run_and_print(
         "one ceramic type (~16.5 kHz) on channels 13/15.5/18 kHz",
         same,

@@ -7,8 +7,9 @@
 //! 3 dB, making the collision decodable and doubling network throughput.
 
 use pab_channel::Position;
-use pab_core::network::{ConcurrentConfig, ConcurrentSimulator};
-use pab_experiments::{banner, sweep, write_csv};
+use pab_core::collision_group::{CollisionGroupConfig, CollisionGroupSimulator};
+use pab_experiments::{banner, write_csv};
+use pab_net::packet::{Command, DownlinkQuery};
 
 const BASE_SEED: u64 = 10;
 
@@ -36,16 +37,22 @@ fn main() -> std::io::Result<()> {
     );
     // One sweep point per placement; each point is a fully independent
     // three-slot experiment with a derived-seed noise stream.
-    let reports = sweep::run(placements.to_vec(), |i, (n1, n2, h)| {
-        let cfg = ConcurrentConfig {
-            node1_pos: n1,
-            node2_pos: n2,
-            hydrophone_pos: h,
-            seed: sweep::derive_seed(BASE_SEED, i as u64),
-            ..Default::default()
-        };
-        let mut sim = ConcurrentSimulator::new(cfg).expect("sim");
-        sim.run()
+    let reports = pab_sweep::run(placements.to_vec(), |i, (n1, n2, h)| {
+        let mut cfg = CollisionGroupConfig::fig10();
+        cfg.members[0].position = n1;
+        cfg.members[1].position = n2;
+        cfg.hydrophone_pos = h;
+        cfg.seed = pab_sweep::derive_seed(BASE_SEED, i as u64);
+        // The collision slot queries each node on its own carrier.
+        let queries: Vec<DownlinkQuery> = cfg
+            .members
+            .iter()
+            .map(|m| DownlinkQuery {
+                dest: m.addr,
+                command: Command::Ping,
+            })
+            .collect();
+        CollisionGroupSimulator::from_config(cfg)?.run_trial(&queries)
     });
 
     let mut rows = Vec::new();

@@ -7,9 +7,9 @@
 //! ```
 
 use pab_channel::Position;
-use pab_core::network::{ConcurrentConfig, ConcurrentSimulator};
+use pab_core::collision_group::{CollisionGroupConfig, CollisionGroupSimulator};
 use pab_net::mac::{ChannelPlan, FdmaScheduler, NodeEntry, ThroughputMeter};
-use pab_net::packet::Command;
+use pab_net::packet::{Command, DownlinkQuery};
 
 fn main() {
     // MAC layer: the paper's two-channel plan (15 kHz / 18 kHz).
@@ -29,19 +29,16 @@ fn main() {
     }
     println!();
 
-    // Physical layer: run the full three-slot concurrent experiment.
-    let cfg = ConcurrentConfig {
-        node1_pos: Position::new(1.0, 1.3, 0.6),
-        node2_pos: Position::new(1.7, 1.8, 0.5),
-        hydrophone_pos: Position::new(1.3, 2.0, 0.7),
-        ..Default::default()
-    };
-    let bitrate = {
-        let sim = ConcurrentSimulator::new(cfg.clone()).expect("config");
-        sim.bitrate_bps()
-    };
-    let mut sim = ConcurrentSimulator::new(cfg).expect("config");
-    let report = sim.run().expect("both nodes must power up");
+    // Physical layer: train both nodes, then transmit the MAC slot's
+    // queries concurrently and decode the collision.
+    let mut cfg = CollisionGroupConfig::fig10();
+    cfg.members[0].position = Position::new(1.0, 1.3, 0.6);
+    cfg.members[1].position = Position::new(1.7, 1.8, 0.5);
+    cfg.hydrophone_pos = Position::new(1.3, 2.0, 0.7);
+    let mut sim = CollisionGroupSimulator::from_config(cfg).expect("config");
+    let bitrate = sim.bitrate_bps();
+    let queries: Vec<DownlinkQuery> = slot.iter().map(|s| s.query).collect();
+    let report = sim.run_trial(&queries).expect("both nodes must power up");
     println!("concurrent collision at the hydrophone:");
     for i in 0..2 {
         println!(
@@ -66,7 +63,7 @@ fn main() {
     single
         .record(packet_bits, slot_s)
         .expect("slot duration is positive");
-    let both_ok = report.crc_ok[0] && report.crc_ok[1];
+    let both_ok = report.crc_ok.iter().all(|&ok| ok);
     fdma.record(if both_ok { 2 * packet_bits } else { packet_bits }, slot_s)
         .expect("slot duration is positive");
     println!(
