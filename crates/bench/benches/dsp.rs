@@ -2,8 +2,8 @@
 //!
 //! The `*_direct` / `*_fft` pairs pin down the overlap-save crossover
 //! (`pab_dsp::fastconv`), and the planner pair measures what the
-//! thread-local `PlanCache` saves per call; `scripts/bench.sh` parses
-//! these into `BENCH_PR3.json`.
+//! thread-local `PlanCache` saves per call. Run with
+//! `cargo bench -p pab-bench --bench dsp`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use num_complex::Complex64;

@@ -140,7 +140,7 @@ impl FaultNetConfig {
     /// 14–20 kHz band (one FDMA channel per node), nodes strung along a
     /// line at x = 1.5 m, everything else at defaults. This is the
     /// canonical scaling configuration — the N-node determinism tests and
-    /// `bench_faultnet` both build exactly this, so keep the formula
+    /// the `perfbench` workloads build exactly this, so keep the formula
     /// frozen.
     pub fn with_nodes(n: usize) -> Result<Self, CoreError> {
         if n == 0 || n > 64 {
@@ -321,18 +321,14 @@ impl FaultNetSimulator {
     }
 
     /// Run the inventory round to completion or `max_slots`, whichever
-    /// comes first, and report.
-    pub fn run(&mut self) -> Result<FaultNetReport, CoreError> {
-        self.run_with_recorder(None)
-    }
-
-    /// Like [`run`](Self::run), but narrating the round into an optional
-    /// telemetry recorder: slot boundaries, per-node fault-window
-    /// entry/exit transitions, harvested-energy samples, the receiver's
-    /// aggregate verdict counters, and every MAC decision (via
-    /// [`ResilientMac::record_traced`]). The recorder does not perturb the
-    /// simulation: a traced run and an untraced same-seed run produce the
-    /// same [`FaultNetReport`] bit for bit.
+    /// comes first, and report. With a recorder, the round is narrated
+    /// into it: slot boundaries, per-node fault-window entry/exit
+    /// transitions, harvested-energy samples, the receiver's aggregate
+    /// verdict counters (from [`LinkSimulator::slot_exchange`]), and
+    /// every MAC decision (via [`ResilientMac::record_traced`]). The
+    /// recorder does not perturb the simulation: a traced run and an
+    /// untraced (`None`) same-seed run produce the same
+    /// [`FaultNetReport`] bit for bit.
     pub fn run_with_recorder(
         &mut self,
         mut tel: Option<&mut Recorder>,
@@ -876,7 +872,7 @@ mod tests {
     #[test]
     fn healthy_network_completes_quickly() {
         let mut net = FaultNetSimulator::new(small_cfg()).unwrap();
-        let report = net.run().unwrap();
+        let report = net.run_with_recorder(None).unwrap();
         assert!(report.completed, "{report:?}");
         assert_eq!(report.delivered_total, 2);
         assert_eq!(report.dropped_total, 0);
@@ -887,7 +883,10 @@ mod tests {
 
     #[test]
     fn traced_run_is_transparent_and_narrates_slots() {
-        let report_plain = FaultNetSimulator::new(small_cfg()).unwrap().run().unwrap();
+        let report_plain = FaultNetSimulator::new(small_cfg())
+            .unwrap()
+            .run_with_recorder(None)
+            .unwrap();
         let mut tel = Recorder::new(16_384);
         let report_traced = FaultNetSimulator::new(small_cfg())
             .unwrap()
@@ -903,6 +902,7 @@ mod tests {
         assert_eq!(c.get("slot_end"), report_traced.slots_used);
         assert_eq!(c.get("detection"), report_traced.delivered_total);
         assert_eq!(c.get("rx.detections"), report_traced.delivered_total);
+        assert_eq!(c.get("rx.crc_fails"), c.get("crc_fail"));
         assert!(c.get("energy_sample") >= report_traced.delivered_total);
         assert_eq!(tel.clock_regressions(), 0, "sim time must be monotonic");
         // Events carry increasing slot stamps.
@@ -914,7 +914,17 @@ mod tests {
     fn traced_run_reports_fault_windows_on_dead_node() {
         // Node 2 permanently browned out: expect FaultEnter{Dropout} once,
         // never an exit, and the MAC narration ending in its eviction.
+        // Node 1 starts under a noise burst, so the round also sees CRC
+        // failures and the receiver's every verdict kind can be checked.
         let mut cfg = small_cfg();
+        let Ok(burst) = FaultSchedule::new(3).with_burst(pab_channel::BroadbandBurst {
+            start_s: 0.0,
+            duration_s: 0.7,
+            rms_pa: 1_500.0,
+        }) else {
+            panic!("valid burst")
+        };
+        cfg.nodes[0].faults = burst;
         cfg.nodes[1].faults = FaultSchedule::new(5)
             .with_dropout(pab_channel::DropoutWindow {
                 start_s: 0.0,
@@ -937,12 +947,24 @@ mod tests {
         assert!(!tel
             .events()
             .any(|e| matches!(e.event, Event::FaultExit { node: 2, .. })));
-        assert_eq!(tel.counters().get("eviction"), 1);
-        assert!(tel.counters().get("erasure") >= 1);
+        let c = tel.counters();
+        assert_eq!(c.get("eviction"), 1);
+        assert!(c.get("erasure") >= 1);
+        assert!(c.get("crc_fail") >= 1, "the burst must cause a CRC failure");
         assert_eq!(
-            tel.counters().get("erasure"),
-            tel.counters().get("rx.erasures"),
+            c.get("erasure"),
+            c.get("rx.erasures"),
             "simulator and receiver must agree on erasure counts"
+        );
+        assert_eq!(
+            c.get("crc_fail"),
+            c.get("rx.crc_fails"),
+            "simulator and receiver must agree on CRC-failure counts"
+        );
+        assert_eq!(
+            c.get("detection"),
+            c.get("rx.detections"),
+            "simulator and receiver must agree on detection counts"
         );
     }
 

@@ -416,56 +416,9 @@ impl LinkSimulator {
     }
 
     /// Run one query/response exchange with an arbitrary command,
-    /// addressed to the configured node.
+    /// addressed to the configured node, over a fault-free channel.
     pub fn run_query(&mut self, command: Command) -> Result<LinkReport, CoreError> {
-        self.run_query_to(self.cfg.node_addr, command)
-    }
-
-    /// Run one query/response exchange addressed to `dest`.
-    pub fn run_query_to(
-        &mut self,
-        dest: u8,
-        command: Command,
-    ) -> Result<LinkReport, CoreError> {
-        let payload_len = match command {
-            Command::ReadSensor(_) => 4,
-            _ => 0,
-        };
-        let query = DownlinkQuery { dest, command };
-        let cw_tail = self.response_window_s(payload_len);
-        let (tx_wave, _query_end) =
-            self.projector
-                .query_waveform(&query, self.cfg.carrier_hz, cw_tail)?;
-
-        // Propagate to the node over the cached channel.
-        let incident = self.ch_pn.apply(&tx_wave, self.cfg.fs_hz);
-        let node_out = self.node.process(
-            &[IncidentComponent {
-                carrier_hz: self.cfg.carrier_hz,
-                samples: incident,
-            }],
-            self.cfg.fs_hz,
-            Some(self.cfg.water),
-        )?;
-
-        // Superpose the direct projector path and the node's backscatter
-        // at the hydrophone.
-        let margin = margin_samples(self.cfg.fs_hz)?;
-        let n_rx = node_out.backscatter[0].len() + margin;
-        let mut y = vec![0.0; n_rx];
-        self.ch_ph.apply_into(&mut y, &tx_wave, self.cfg.fs_hz);
-        self.ch_nh
-            .apply_into(&mut y, &node_out.backscatter[0], self.cfg.fs_hz);
-
-        // Ambient noise.
-        add_awgn(&mut y, self.sigma_pa, &mut self.rng);
-
-        let recorded = self.receiver.record(&y);
-        let bitrate = self.bitrate_bps();
-        let decoded = self
-            .receiver
-            .decode_uplink(&recorded, self.cfg.carrier_hz, bitrate);
-        Ok(self.build_report(node_out, decoded, bitrate, recorded))
+        self.run_query_to_faulted(self.cfg.node_addr, command, &FaultSchedule::default(), 0.0)
     }
 
     /// Run one query/response exchange addressed to `dest` with a
@@ -491,22 +444,6 @@ impl LinkSimulator {
         faults: &pab_channel::FaultSchedule,
         t_start_s: f64,
     ) -> Result<LinkReport, CoreError> {
-        self.run_query_to_faulted_traced(dest, command, faults, t_start_s, None)
-    }
-
-    /// Like [`run_query_to_faulted`](Self::run_query_to_faulted), but
-    /// sinking the receiver's aggregate verdict (detection / CRC-fail /
-    /// erasure counters, correlation and SNR histograms) into an optional
-    /// telemetry recorder via
-    /// [`Receiver::decode_uplink_traced`](crate::receiver::Receiver::decode_uplink_traced).
-    pub fn run_query_to_faulted_traced(
-        &mut self,
-        dest: u8,
-        command: Command,
-        faults: &pab_channel::FaultSchedule,
-        t_start_s: f64,
-        tel: Option<&mut pab_telemetry::Recorder>,
-    ) -> Result<LinkReport, CoreError> {
         let fs_hz = self.cfg.fs_hz;
         let payload_len = match command {
             Command::ReadSensor(_) => 4,
@@ -524,7 +461,7 @@ impl LinkSimulator {
         self.projector.cfo_hz = saved_cfo_hz;
         let (tx_wave, _query_end) = wave?;
         let incident = self.ch_pn.apply(&tx_wave, fs_hz);
-        self.faulted_tail(faults, t_start_s, tel, &tx_wave, incident)
+        self.faulted_tail(faults, t_start_s, &tx_wave, incident)
     }
 
     /// The faulted exchange chain downstream of query synthesis and the
@@ -537,7 +474,6 @@ impl LinkSimulator {
         &mut self,
         faults: &pab_channel::FaultSchedule,
         t_start_s: f64,
-        tel: Option<&mut pab_telemetry::Recorder>,
         tx_wave: &[f64],
         mut incident: Vec<f64>,
     ) -> Result<LinkReport, CoreError> {
@@ -595,9 +531,9 @@ impl LinkSimulator {
 
         let recorded = self.receiver.record(&y);
         let bitrate = self.bitrate_bps();
-        let decoded =
-            self.receiver
-                .decode_uplink_traced(&recorded, self.cfg.carrier_hz, bitrate, tel);
+        let decoded = self
+            .receiver
+            .decode_uplink(&recorded, self.cfg.carrier_hz, bitrate);
         Ok(self.build_report(node_out, decoded, bitrate, recorded))
     }
 
@@ -606,7 +542,7 @@ impl LinkSimulator {
     /// [`LinkReport`].
     ///
     /// Semantics are identical to
-    /// [`run_query_to_faulted_traced`](Self::run_query_to_faulted_traced)
+    /// [`run_query_to_faulted`](Self::run_query_to_faulted)
     /// — bitwise, including the RNG stream (ambient noise draws exactly
     /// `exchange_samples` normals either way) — but the steady state is
     /// radically cheaper:
@@ -634,6 +570,13 @@ impl LinkSimulator {
     /// AWGN is drawn fresh per exchange (never cached), so cached and
     /// uncached runs consume identical RNG streams and produce identical
     /// verdicts.
+    ///
+    /// This is the one place the receiver's verdict is traced: `tel`
+    /// receives the `rx.detections` / `rx.crc_fails` / `rx.erasures`
+    /// counters and the preamble-correlation and SNR histograms, whichever
+    /// path (cache hit, fade bypass, cache off) produced the verdict. They
+    /// are aggregates; per-node attribution is the MAC's and the network
+    /// simulator's job.
     pub fn slot_exchange(
         &mut self,
         dest: u8,
@@ -642,10 +585,30 @@ impl LinkSimulator {
         t_start_s: f64,
         tel: Option<&mut pab_telemetry::Recorder>,
     ) -> Result<SlotVerdict, CoreError> {
+        let verdict = self.slot_verdict(dest, command, faults, t_start_s)?;
+        if let Some(t) = tel {
+            if !verdict.preamble_found {
+                t.inc("rx.erasures");
+            } else {
+                t.inc(if verdict.crc_ok { "rx.detections" } else { "rx.crc_fails" });
+                t.observe("rx.preamble_corr", 0.0, 1.0, 20, verdict.preamble_corr);
+                t.observe("rx.snr_db", -10.0, 40.0, 25, verdict.snr_db);
+            }
+        }
+        Ok(verdict)
+    }
+
+    /// The untraced body of [`slot_exchange`](Self::slot_exchange).
+    fn slot_verdict(
+        &mut self,
+        dest: u8,
+        command: Command,
+        faults: &FaultSchedule,
+        t_start_s: f64,
+    ) -> Result<SlotVerdict, CoreError> {
         let fs_hz = self.cfg.fs_hz;
         if !self.slot_cache_enabled {
-            let report =
-                self.run_query_to_faulted_traced(dest, command, faults, t_start_s, tel)?;
+            let report = self.run_query_to_faulted(dest, command, faults, t_start_s)?;
             return Ok(SlotVerdict::from_report(report));
         }
 
@@ -704,13 +667,8 @@ impl LinkSimulator {
                     v
                 }
             };
-            let report = self.faulted_tail(
-                faults,
-                t_start_s,
-                tel,
-                &tx_wave,
-                incident.as_ref().clone(),
-            )?;
+            let report =
+                self.faulted_tail(faults, t_start_s, &tx_wave, incident.as_ref().clone())?;
             return Ok(SlotVerdict::from_report(report));
         }
 
@@ -730,8 +688,9 @@ impl LinkSimulator {
 
         // ---- engine+decode stage: zero heap allocations once the
         // scratch arena, the receiver's decode scratch and its front-end
-        // design cache are warm (untraced; the telemetry recorder may
-        // grow its own tables). Pinned by `tests/slot_engine_alloc.rs`.
+        // design cache are warm (the telemetry recorder, which may grow
+        // its own tables, is fed only after this stage in `slot_exchange`).
+        // Pinned by `tests/slot_engine_alloc.rs`.
         let probe0 = scratch::alloc_probe();
         let (mut y, powered_up, rectified_v, power_w) = {
             let (cache, pool) = (&self.exch_cache, &mut self.scratch);
@@ -751,7 +710,7 @@ impl LinkSimulator {
         }
         let decoded = self
             .receiver
-            .decode_uplink_verdict_traced(&y, self.cfg.carrier_hz, bitrate, tel);
+            .decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
         let exchange_samples = y.len();
         self.scratch.put(y);
         self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
@@ -788,7 +747,7 @@ impl LinkSimulator {
     /// The fade-free exchange chain for one cache key: downlink
     /// propagation, node processing (or the browned-out zero response)
     /// and the noiseless superposition at the hydrophone. Bitwise what
-    /// [`run_query_to_faulted_traced`](Self::run_query_to_faulted_traced)
+    /// [`run_query_to_faulted`](Self::run_query_to_faulted)
     /// computes for the same inputs when no fade window overlaps — the
     /// gain multiplies it would apply are all by exactly 1.0.
     fn compute_clean_exchange(
@@ -879,14 +838,6 @@ impl LinkSimulator {
         }
     }
 
-    /// Run a pH sensor query addressed to `addr` (the paper's flagship
-    /// application). The simulator hosts a single node at
-    /// `config().node_addr`; addressing anything else exercises the
-    /// firmware's address filter and yields no response.
-    pub fn run_sensor_query(&mut self, addr: u8) -> Result<LinkReport, CoreError> {
-        self.run_query_to(addr, Command::ReadSensor(SensorKind::Ph))
-    }
-
     /// Fig. 2 reproduction: CW downlink, node toggling every
     /// `half_period_s` starting `toggle_start_s` after the projector
     /// begins at `projector_start_s`. Returns the receiver's demodulated
@@ -936,7 +887,7 @@ mod tests {
     #[test]
     fn default_link_delivers_a_sensor_packet() {
         let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
-        let report = sim.run_sensor_query(7).unwrap();
+        let report = sim.run_query(Command::ReadSensor(SensorKind::Ph)).unwrap();
         assert!(report.node_powered_up, "rect_v={}", report.node_rectified_v);
         assert!(report.crc_ok, "snr={} dB", report.snr_db);
         let packet = report.packet.unwrap();
@@ -1023,7 +974,9 @@ mod tests {
     #[test]
     fn run_query_to_other_address_gets_no_response() {
         let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
-        let report = sim.run_query_to(99, Command::Ping).unwrap();
+        let report = sim
+            .run_query_to_faulted(99, Command::Ping, &FaultSchedule::default(), 0.0)
+            .unwrap();
         assert_eq!(report.node_output.responses_sent, 0);
         assert!(!report.crc_ok);
     }

@@ -1,8 +1,8 @@
 //! Byte-identity snapshot tool: runs the canonical faultnet and
 //! collision determinism workloads at N ∈ {2, 4, 8} and writes every
 //! artifact a perf PR must not move — packet digests, per-node report
-//! lines and all four telemetry export formats (CSV, JSONL, summary,
-//! binary) — into a directory. Diffing two snapshots (`diff -r`) taken
+//! lines and all three telemetry export formats (CSV, summary, binary)
+//! — into a directory. Diffing two snapshots (`diff -r`) taken
 //! on two commits proves (or disproves) bit-identical behaviour without
 //! hand-rolling a comparison harness each time.
 //!
@@ -12,7 +12,7 @@
 use pab_channel::{BroadbandBurst, DropoutWindow, FaultSchedule};
 use pab_core::faultnet::{FaultNetConfig, FaultNetSimulator};
 use pab_net::mac::{AdaptiveConfig, CollisionPolicy, Concurrency, MacPolicy, RateLadder};
-use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
+use pab_telemetry::export::{events_csv, summary_csv};
 use pab_telemetry::{events_bin, Recorder};
 use std::io::Write;
 use std::path::Path;
@@ -68,7 +68,6 @@ fn dump(dir: &Path, tag: &str, cfg: FaultNetConfig) -> std::io::Result<()> {
     writeln!(f, "{report:?}")?;
     writeln!(f, "bit_digest={:#018x}", report.bit_digest)?;
     std::fs::write(dir.join(format!("{tag}_events.csv")), events_csv(&[&tel]))?;
-    std::fs::write(dir.join(format!("{tag}_events.jsonl")), events_jsonl(&[&tel]))?;
     std::fs::write(dir.join(format!("{tag}_summary.csv")), summary_csv(&[&tel]))?;
     std::fs::write(dir.join(format!("{tag}_events.bin")), events_bin(&[&tel]))?;
     eprintln!("{tag}: digest {:#018x}", report.bit_digest);

@@ -32,7 +32,7 @@ use pab_net::mac::{
     AdaptiveConfig, ChannelPlan, CollisionPolicy, Concurrency, MacPolicy, RateLadder,
 };
 use pab_telemetry::events_bin;
-use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
+use pab_telemetry::export::{events_csv, summary_csv};
 use pab_telemetry::Recorder;
 
 /// Fault schedules for the two nodes at a given intensity step. Faults
@@ -222,11 +222,9 @@ fn main() -> std::io::Result<()> {
     if trace {
         let refs: Vec<&Recorder> = recorders.iter().collect();
         let trace_path = write_text("collision_trace.csv", &events_csv(&refs))?;
-        let jsonl_path = write_text("collision_trace.jsonl", &events_jsonl(&refs))?;
         let summary_path = write_text("collision_trace_summary.csv", &summary_csv(&refs))?;
         let bin_path = write_bytes("collision_trace.bin", &events_bin(&refs))?;
         println!("\ntrace: {}", trace_path.display());
-        println!("trace: {}", jsonl_path.display());
         println!("trace: {}", summary_path.display());
         println!("trace: {} (binary, see pab_telemetry::binfmt)", bin_path.display());
     }

@@ -24,7 +24,7 @@ use pab_net::mac::{AdaptiveConfig, MacPolicy};
 use pab_sweep::{derive_seed, grid2, run, run_recorded};
 use pab_experiments::{banner, write_bytes, write_csv, write_text};
 use pab_telemetry::events_bin;
-use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
+use pab_telemetry::export::{events_csv, summary_csv};
 use pab_telemetry::{Event, Recorder};
 
 /// Fault schedules for the two nodes at a given intensity step.
@@ -256,11 +256,9 @@ fn main() -> std::io::Result<()> {
         print_trace_report(&points, &recorders);
         let refs: Vec<&Recorder> = recorders.iter().collect();
         let trace_path = write_text("fault_trace.csv", &events_csv(&refs))?;
-        let jsonl_path = write_text("fault_trace.jsonl", &events_jsonl(&refs))?;
         let summary_path = write_text("fault_trace_summary.csv", &summary_csv(&refs))?;
         let bin_path = write_bytes("fault_trace.bin", &events_bin(&refs))?;
         println!("\ntrace: {}", trace_path.display());
-        println!("trace: {}", jsonl_path.display());
         println!("trace: {}", summary_path.display());
         println!("trace: {} (binary, see pab_telemetry::binfmt)", bin_path.display());
         println!("plot:  python3 scripts/plot_trace.py {}", trace_path.display());

@@ -49,8 +49,8 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> io::Result<PathBu
     Ok(path)
 }
 
-/// Write raw pre-formatted text (e.g. an exported telemetry trace or
-/// JSONL stream) under `results/`.
+/// Write raw pre-formatted text (e.g. an exported telemetry trace)
+/// under `results/`.
 pub fn write_text(name: &str, content: &str) -> io::Result<PathBuf> {
     let path = results_dir()?.join(name);
     fs::write(&path, content)?;

@@ -1,4 +1,4 @@
-//! Exporters: flatten one or more recorders into CSV / JSONL text.
+//! Exporters: flatten one or more recorders into CSV text.
 //!
 //! Output is a pure function of the recorder contents and the order in
 //! which recorders are passed. The sweep engine passes per-point recorders
@@ -89,93 +89,6 @@ pub fn events_csv(recorders: &[&Recorder]) -> String {
     out
 }
 
-/// Format an `f64` as a JSON value: plain number when finite, quoted
-/// string otherwise (JSON has no NaN/Infinity literals).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        fmt_f64(x)
-    } else {
-        format!("\"{}\"", fmt_f64(x))
-    }
-}
-
-/// Render every retained event as one JSON object per line, with only the
-/// fields that event carries. Key order is fixed per event type, so the
-/// output is byte-stable.
-pub fn events_jsonl(recorders: &[&Recorder]) -> String {
-    let mut out = String::new();
-    for rec in recorders {
-        for te in rec.events() {
-            out.push_str(&format!(
-                "{{\"run\":{},\"slot\":{},\"t_s\":{},\"event\":\"{}\"",
-                rec.run_id(),
-                te.slot,
-                json_f64(te.t_s),
-                te.event.name(),
-            ));
-            if let Some(node) = te.event.node() {
-                out.push_str(&format!(",\"node\":{node}"));
-            }
-            match te.event {
-                Event::SlotStart { queries } => out.push_str(&format!(",\"queries\":{queries}")),
-                Event::SlotEnd { duration_s, bits } => out.push_str(&format!(
-                    ",\"duration_s\":{},\"bits\":{bits}",
-                    json_f64(duration_s)
-                )),
-                Event::Detection { corr, snr_db, .. } => out.push_str(&format!(
-                    ",\"corr\":{},\"snr_db\":{}",
-                    json_f64(corr),
-                    json_f64(snr_db)
-                )),
-                Event::CrcFail { corr, .. } => {
-                    out.push_str(&format!(",\"corr\":{}", json_f64(corr)))
-                }
-                Event::Erasure { .. } | Event::Eviction { .. } => {}
-                Event::Retry { retries_used, .. } => {
-                    out.push_str(&format!(",\"retries_used\":{retries_used}"))
-                }
-                Event::Backoff { until_slot, .. } => {
-                    out.push_str(&format!(",\"until_slot\":{until_slot}"))
-                }
-                Event::Quarantine { until_slot, probes_failed, .. } => out.push_str(&format!(
-                    ",\"until_slot\":{until_slot},\"probes_failed\":{probes_failed}"
-                )),
-                Event::RateStep { rate_bps, level, .. } => out.push_str(&format!(
-                    ",\"rate_bps\":{},\"level\":{level}",
-                    json_f64(rate_bps)
-                )),
-                Event::FaultEnter { kind, .. } => {
-                    out.push_str(&format!(",\"kind\":\"{}\"", kind.name()))
-                }
-                Event::FaultExit { kind, .. } => {
-                    out.push_str(&format!(",\"kind\":\"{}\"", kind.name()))
-                }
-                Event::EnergySample { harvested_j, power_w, rectified_v, .. } => {
-                    out.push_str(&format!(
-                        ",\"harvested_j\":{},\"power_w\":{},\"rectified_v\":{}",
-                        json_f64(harvested_j),
-                        json_f64(power_w),
-                        json_f64(rectified_v)
-                    ))
-                }
-                Event::CollisionSlot { participants, condition_number }
-                | Event::CollisionFallback { participants, condition_number } => {
-                    out.push_str(&format!(
-                        ",\"participants\":{participants},\"condition_number\":{}",
-                        json_f64(condition_number)
-                    ))
-                }
-                Event::StreamVerdict { crc_ok, snr_db, .. } => out.push_str(&format!(
-                    ",\"crc_ok\":{crc_ok},\"snr_db\":{}",
-                    json_f64(snr_db)
-                )),
-            }
-            out.push_str("}\n");
-        }
-    }
-    out
-}
-
 /// Column header of [`summary_csv`].
 pub const SUMMARY_CSV_HEADER: &str = "run,kind,name,value";
 
@@ -256,27 +169,6 @@ mod tests {
         assert!(csv.contains("0,0,0,,collision_slot,2,,,,,,,,,,4.5"));
         assert!(csv.contains("0,0,0,1,stream_verdict,1,,14.5,,,,,,,,"));
         assert!(csv.contains("0,0,0,,collision_fallback,2,,,,,,,,,,80"));
-    }
-
-    #[test]
-    fn jsonl_lines_are_balanced_objects() {
-        let a = sample_recorder(3);
-        let jsonl = events_jsonl(&[&a]);
-        assert_eq!(jsonl.lines().count(), a.len());
-        for line in jsonl.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert_eq!(
-                line.matches('{').count(),
-                line.matches('}').count(),
-                "unbalanced braces: {line}"
-            );
-            assert!(line.contains("\"run\":3"));
-        }
-        assert!(jsonl.contains("\"event\":\"energy_sample\""));
-        assert!(jsonl.contains("\"harvested_j\":0.0000025"));
-        assert!(jsonl.contains("\"event\":\"collision_slot\",\"participants\":2,\"condition_number\":4.5"));
-        assert!(jsonl.contains("\"event\":\"stream_verdict\",\"node\":1,\"crc_ok\":true,\"snr_db\":14.5"));
-        assert!(jsonl.contains("\"event\":\"collision_fallback\""));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! 1. **Deterministic.** Events are stamped with *simulation* time pushed
 //!    in by the caller ([`Recorder::begin_slot`] / [`Recorder::advance_clock`]),
 //!    never a wall clock — the workspace's `no-wallclock-no-threadrng`
-//!    lint applies to this crate like any other library crate. Exported
-//!    CSV/JSONL is a pure function of the recorded events, so two
+//!    lint applies to this crate like any other library crate. Every
+//!    export is a pure function of the recorded events, so two
 //!    same-seed runs (serial or parallel, any thread count) export
 //!    byte-identical files.
 //! 2. **Bounded.** The event log is a ring buffer with a hard capacity;
@@ -26,8 +26,8 @@
 //!    boxes); counters and histogram names are `&'static str`; the hot
 //!    `record` path does no allocation once the ring is at capacity.
 //!
-//! The exporters ([`export::events_csv`], [`export::events_jsonl`],
-//! [`export::summary_csv`], and the compact [`binfmt::events_bin`])
+//! The exporters ([`export::events_csv`], [`export::summary_csv`], and
+//! the compact [`binfmt::events_bin`])
 //! take a slice of recorders and emit rows in recorder order then event
 //! order, which is how the sweep engine guarantees parallel == serial
 //! byte-identity: one recorder per sweep point, merged in point-index
@@ -67,8 +67,8 @@ impl std::error::Error for TelemetryError {}
 
 /// Format an `f64` for export. Rust's `Display` for `f64` is the shortest
 /// round-trip representation — fully deterministic for a given bit
-/// pattern, platform-independent, and what both exporters use so CSV and
-/// JSONL agree on every digit.
+/// pattern, platform-independent, and what the text exporters use so the
+/// events and summary CSVs agree on every digit.
 pub(crate) fn fmt_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")

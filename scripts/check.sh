@@ -31,7 +31,7 @@ cargo test -q -p pab-core --test fault_resilience
 
 echo "==> ext_fault_resilience --quick --trace  (fault injection smoke + telemetry trace)"
 cargo run --release -q -p pab-experiments --bin ext_fault_resilience -- --quick --trace
-for f in results/fault_trace.csv results/fault_trace.jsonl results/fault_trace_summary.csv results/fault_trace.bin; do
+for f in results/fault_trace.csv results/fault_trace_summary.csv results/fault_trace.bin; do
     [ -s "$f" ] || { echo "missing telemetry export: $f"; exit 1; }
 done
 
@@ -44,10 +44,8 @@ cargo run --release -q -p pab-experiments --bin fig10_concurrent > /dev/null
 cargo run --release -q -p pab-experiments --bin ext_three_channels > /dev/null
 git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv
 
-echo "==> bench_faultnet --smoke --ladder  (slot-throughput + frontend-rung bench smoke; numbers not comparable to a full run)"
-cargo run --release -q -p pab-experiments --bin bench_faultnet -- --smoke --ladder --out target/bench_faultnet_smoke.json
-[ -s target/bench_faultnet_smoke.json ] || { echo "bench_faultnet wrote no JSON"; exit 1; }
-grep -q '"frontend"' target/bench_faultnet_smoke.json || { echo "bench_faultnet smoke JSON lacks the frontend section"; exit 1; }
+echo "==> perfbench tests  (the benchmark still builds against the library API and passes its correctness gate)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets"

@@ -8,7 +8,7 @@
 
 use pab_channel::{BroadbandBurst, DropoutWindow, FaultSchedule};
 use pab_core::faultnet::{FaultNetConfig, FaultNetReport, FaultNetSimulator};
-use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
+use pab_telemetry::export::{events_csv, summary_csv};
 use pab_telemetry::{events_bin, Recorder};
 
 /// An N-node network with enough impairment to exercise every slot-engine
@@ -49,7 +49,7 @@ fn run_traced(mut cfg: FaultNetConfig, parallel: bool) -> (FaultNetReport, Recor
 
 /// Parallel and serial slot fan-out must agree bit-for-bit — on the
 /// report, on the packet digest, and on every telemetry export format
-/// (CSV, JSONL, summary, binary) — at both N=4 and N=8.
+/// (CSV, summary, binary) — at both N=4 and N=8.
 #[test]
 fn parallel_matches_serial_at_n4_and_n8() {
     for n in [4usize, 8] {
@@ -66,11 +66,6 @@ fn parallel_matches_serial_at_n4_and_n8() {
         let csv_ser = events_csv(&[&tel_ser]);
         assert!(!csv_par.trim().is_empty());
         assert_eq!(csv_par, csv_ser, "n={n}: trace CSV not byte-identical");
-        assert_eq!(
-            events_jsonl(&[&tel_par]),
-            events_jsonl(&[&tel_ser]),
-            "n={n}: trace JSONL not byte-identical"
-        );
         assert_eq!(
             summary_csv(&[&tel_par]),
             summary_csv(&[&tel_ser]),
@@ -92,20 +87,44 @@ fn parallel_matches_serial_at_n4_and_n8() {
 }
 
 /// The query-waveform and clean-exchange caches are a pure memoisation:
-/// disabling them must reproduce the exact same run, bit for bit.
+/// disabling them must reproduce the exact same run, bit for bit — the
+/// report and every telemetry export, since the cached and uncached
+/// exchange paths both reach the receiver-verdict tracing in
+/// `slot_exchange`.
 #[test]
 fn waveform_cache_is_bitwise_transparent() {
     let run = |cache: bool| {
         let mut cfg = scale_cfg(4);
         cfg.slot_cache = cache;
         let mut sim = FaultNetSimulator::new(cfg).expect("valid config");
-        let report = sim.run().expect("run succeeds");
-        (report, sim.slot_stats())
+        let mut tel = Recorder::new(4096).with_run_id(0);
+        let report = sim.run_with_recorder(Some(&mut tel)).expect("run succeeds");
+        (report, sim.slot_stats(), tel)
     };
-    let (cached, stats_on) = run(true);
-    let (uncached, stats_off) = run(false);
+    let (cached, stats_on, tel_on) = run(true);
+    let (uncached, stats_off, tel_off) = run(false);
     assert_eq!(cached, uncached, "cache changed the simulation");
     assert_eq!(cached.bit_digest, uncached.bit_digest);
+    assert_eq!(
+        events_csv(&[&tel_on]),
+        events_csv(&[&tel_off]),
+        "cache changed the trace CSV"
+    );
+    assert_eq!(
+        summary_csv(&[&tel_on]),
+        summary_csv(&[&tel_off]),
+        "cache changed the counter/histogram summary"
+    );
+    assert_eq!(
+        events_bin(&[&tel_on]),
+        events_bin(&[&tel_off]),
+        "cache changed the binary trace"
+    );
+    let rx = tel_on.counters();
+    assert!(
+        rx.get("rx.detections") > 0 && rx.get("rx.erasures") > 0,
+        "trace lacks receiver verdicts"
+    );
     // And the knob is real: hits with the cache on, none with it off.
     assert!(
         stats_on.exchange_hits + stats_on.wave_hits > 0,
@@ -125,7 +144,7 @@ fn tracing_does_not_perturb_the_network() {
     let (rep_traced, _tel) = run_traced(scale_cfg(4), true);
     let rep_plain = FaultNetSimulator::new(scale_cfg(4))
         .expect("valid config")
-        .run()
+        .run_with_recorder(None)
         .expect("run succeeds");
     assert_eq!(rep_traced, rep_plain, "recorder perturbed the run");
 }

@@ -140,7 +140,7 @@ fn faultnet_and_collision_digests_are_pinned() {
     for (tag, cfg, digest) in expected {
         let report = FaultNetSimulator::new(cfg)
             .expect("valid config")
-            .run()
+            .run_with_recorder(None)
             .expect("run succeeds");
         assert_eq!(
             report.bit_digest, digest,

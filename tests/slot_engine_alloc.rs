@@ -77,7 +77,7 @@ fn steady_state_slots_allocate_nothing_in_the_engine_stage() {
     // which legitimately allocates while filling the cache).
     cfg.policy = MacPolicy::FixedRetry { max_retries: 2 };
     let mut sim = FaultNetSimulator::new(cfg).expect("valid config");
-    let report = sim.run().expect("run succeeds");
+    let report = sim.run_with_recorder(None).expect("run succeeds");
     assert!(report.completed, "healthy round must complete: {report:?}");
 
     let stats = sim.slot_stats();
