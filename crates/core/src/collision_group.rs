@@ -36,16 +36,30 @@
 //! member addresses), every slot runs inline (never fanned through the
 //! parallel engine), and AWGN is drawn in slot order — so same-seed runs
 //! are bit-identical regardless of `parallel_slots`.
+//!
+//! The noiseless part of a slot (synthesis, the k² downlink channels,
+//! the k node simulations and the superposition at the hydrophone) is
+//! memoised per slot plan: the key is, per member carrier, the query it
+//! carries as `(dest, command)` or continuous wave, plus the members' FM0
+//! divider. The memo is valid because [`PabNode::process`] takes `&self`
+//! and boots fresh firmware on each call, the divider is the group's only
+//! mutator and sits in the key, and the faultnet viability gate keeps
+//! members in fault windows out of collision slots. It is bounded like
+//! the link's caches (cleared when it reaches `CACHE_CAP` entries). A
+//! hit still draws AWGN from the group's stream (as many draws as a
+//! miss), then demodulates every band at full rate, zero-forces and
+//! decodes, so cached and uncached slots are bit-identical.
 
 use crate::collision::{
     aligned_sinr_db, condition_number_n, estimate_channel_complex, naive_stream_estimate,
     zero_force_n_complex, ComplexAffineChannel,
 };
 use crate::faultnet::FaultNetConfig;
+use crate::link::command_key;
 use crate::node::{IncidentComponent, PabNode};
 use crate::projector::Projector;
 use crate::receiver::Receiver;
-use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::{CoreError, CACHE_CAP, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{MultipathChannel, Pool, Position};
@@ -54,6 +68,8 @@ use pab_net::packet::{Command, DownlinkQuery, UplinkPacket, BROADCAST_ADDR};
 use pab_sweep::derive_seed;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One member's place in the group's FDMA plan.
 #[derive(Debug, Clone)]
@@ -216,19 +232,73 @@ struct GroupMember {
     ch_up: Vec<MultipathChannel>,
 }
 
+/// Slot-memo key: per member carrier, the query it carries as `(dest,
+/// command)` or `None` for continuous wave, plus the members' FM0 divider
+/// (which sets the response window and the backscatter timing).
+type SlotKey = (Vec<Option<(u8, (u8, u16))>>, u16);
+
+/// One member's part of a clean slot.
+#[derive(Debug)]
+struct MemberResponse {
+    /// Whether the member sent a complete response.
+    responded: bool,
+    /// Node-side average harvested power, watts.
+    power_w: f64,
+    /// Node-side rectified capacitor voltage at slot end, volts.
+    rectified_v: f64,
+    /// Backscatter switch state per node sample.
+    switch_wave: Vec<bool>,
+    /// Uplink direct-path delay that aligns `switch_wave` at the
+    /// hydrophone, samples.
+    delay: usize,
+}
+
+impl MemberResponse {
+    /// The hydrophone-aligned ground-truth switching stream (1.0 while
+    /// reflecting) over the sample range `[w0, w1)`.
+    fn truth(&self, (w0, w1): (usize, usize)) -> Vec<f64> {
+        (w0..w1)
+            .map(|i| {
+                let on = i
+                    .checked_sub(self.delay)
+                    .and_then(|t| self.switch_wave.get(t))
+                    .copied()
+                    .unwrap_or(false);
+                if on {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+}
+
+/// The noiseless part of one group slot: a pure function of its
+/// [`SlotKey`], memoised by the group.
+#[derive(Debug)]
+struct CleanSlot {
+    /// Hydrophone pressure before noise, Pa.
+    y_clean: Vec<f64>,
+    /// Per member, in channel order.
+    members: Vec<MemberResponse>,
+    /// First and last hydrophone sample where any member reflects.
+    active: Option<(usize, usize)>,
+}
+
 /// Everything one group slot produced at the receiver.
 struct SlotOutput {
     /// Complex baseband per band.
     baseband: Vec<Vec<Complex64>>,
-    /// Ground-truth switching streams, hydrophone-aligned, per member.
-    truths: Vec<Vec<f64>>,
-    /// Whether each member sent a complete response.
-    responded: Vec<bool>,
-    /// Node-side power summaries, per member.
-    power_w: Vec<f64>,
-    rectified_v: Vec<f64>,
+    /// The slot's noiseless part.
+    clean: Arc<CleanSlot>,
+}
+
+impl SlotOutput {
     /// Samples the slot occupied at the hydrophone.
-    samples: usize,
+    fn samples(&self) -> usize {
+        self.clean.y_clean.len()
+    }
 }
 
 /// A zero-forced collision slot, before the streams are decoded.
@@ -258,6 +328,8 @@ pub struct CollisionGroupSimulator {
     /// commanded rate changes).
     channels: Option<Vec<ComplexAffineChannel>>,
     trained_divider: u16,
+    /// Clean slots already simulated, bounded by [`CACHE_CAP`].
+    slot_memo: BTreeMap<SlotKey, Arc<CleanSlot>>,
 }
 
 impl CollisionGroupSimulator {
@@ -370,6 +442,7 @@ impl CollisionGroupSimulator {
             noise_sigma_pa,
             channels: None,
             trained_divider: 0,
+            slot_memo: BTreeMap::new(),
         })
     }
 
@@ -415,12 +488,67 @@ impl CollisionGroupSimulator {
         }
     }
 
-    /// Run one slot: per-carrier transmit waveforms, all members process
-    /// the superposed incident field and backscatter every carrier, the
-    /// hydrophone demodulates each band.
-    fn run_slot(&mut self, waves: &[Vec<f64>]) -> Result<SlotOutput, CoreError> {
+    /// Run one slot carrying `plan[i]` on member `i`'s carrier (`None`
+    /// is continuous wave): the clean part comes from the slot memo, then
+    /// the per-slot observation draws fresh AWGN and the hydrophone
+    /// demodulates each band.
+    fn run_slot(&mut self, plan: &[Option<DownlinkQuery>]) -> Result<SlotOutput, CoreError> {
+        let key: SlotKey = (
+            plan.iter()
+                .map(|q| q.map(|q| (q.dest, command_key(q.command))))
+                .collect(),
+            self.members[0].node.default_divider,
+        );
+        let clean = match self.slot_memo.get(&key) {
+            Some(c) => Arc::clone(c),
+            None => {
+                let c = Arc::new(self.clean_slot(plan)?);
+                if self.slot_memo.len() >= CACHE_CAP {
+                    self.slot_memo.clear();
+                }
+                self.slot_memo.insert(key, Arc::clone(&c));
+                c
+            }
+        };
+
+        let mut y = clean.y_clean.clone();
+        add_awgn(&mut y, self.noise_sigma_pa, &mut self.rng);
+        let recorded = self.receiver.record(&y);
+        let cutoff = (2.0 * self.bitrate_bps()).clamp(200.0, 0.4 * self.fs_hz);
+        let mut baseband = Vec::with_capacity(self.members.len());
+        for m in &self.members {
+            baseband.push(self.receiver.demodulate_complex(&recorded, m.carrier_hz, cutoff)?);
+        }
+        Ok(SlotOutput { baseband, clean })
+    }
+
+    /// The noiseless part of a slot: per-carrier transmit waveforms (each
+    /// continuous wave as long as the longest query), all members process
+    /// the superposed incident field and backscatter every carrier, and
+    /// the hydrophone superposes everything before noise.
+    fn clean_slot(&self, plan: &[Option<DownlinkQuery>]) -> Result<CleanSlot, CoreError> {
         let fs = self.fs_hz;
         let k = self.members.len();
+        let tail = self.response_tail_s();
+        let mut queries = Vec::with_capacity(k);
+        for (m, q) in self.members.iter().zip(plan) {
+            queries.push(match q {
+                Some(q) => Some(self.projector.query_waveform(q, m.carrier_hz, tail)?.0),
+                None => None,
+            });
+        }
+        let n_query = queries
+            .iter()
+            .flatten()
+            .map(Vec::len)
+            .max()
+            .ok_or(CoreError::InvalidConfig("slot plan carries no query"))?;
+        let dur = n_query as f64 / fs;
+        let waves: Vec<Vec<f64>> = queries
+            .into_iter()
+            .zip(&self.members)
+            .map(|(w, m)| w.unwrap_or_else(|| self.projector.continuous_wave(m.carrier_hz, dur)))
+            .collect();
         let n_tx = waves.iter().map(Vec::len).max().unwrap_or(0);
         let margin = crate::margin_samples(fs)?;
 
@@ -447,43 +575,32 @@ impl CollisionGroupSimulator {
         for (ci, w) in waves.iter().enumerate() {
             self.ch_proj_hydro[ci].apply_into(&mut y, w, fs);
         }
-        let mut truths = Vec::with_capacity(k);
-        let mut responded = Vec::with_capacity(k);
-        let mut power_w = Vec::with_capacity(k);
-        let mut rectified_v = Vec::with_capacity(k);
-        for (i, out) in node_outs.iter().enumerate() {
-            responded.push(out.responses_sent > 0);
-            power_w.push(out.average_power_w);
-            rectified_v.push(out.rectified_v);
-            for (ci, ch) in self.members[i].ch_up.iter().enumerate() {
+        let mut members = Vec::with_capacity(k);
+        let mut active: Option<(usize, usize)> = None;
+        for (out, m) in node_outs.into_iter().zip(&self.members) {
+            for (ci, ch) in m.ch_up.iter().enumerate() {
                 ch.apply_into(&mut y, &out.backscatter[ci], fs);
             }
-            // Hydrophone-aligned ground-truth switching stream.
-            let delay = (self.members[i].ch_up[0].direct().delay_s * fs).floor() as usize;
-            let mut s = vec![0.0; n_rx];
-            for (t, &b) in out.switch_wave.iter().enumerate() {
-                if t + delay < n_rx {
-                    // lint: allow(panic-path) t + delay < n_rx checked by the enclosing branch
-                    s[t + delay] = if b { 1.0 } else { 0.0 };
-                }
+            let delay = (m.ch_up[0].direct().delay_s * fs).floor() as usize;
+            // Switch samples that land inside the recording.
+            let visible = out.switch_wave.len().min(n_rx.saturating_sub(delay));
+            let on = || out.switch_wave.iter().take(visible);
+            if let (Some(first), Some(last)) = (on().position(|&b| b), on().rposition(|&b| b)) {
+                let (a0, a1) = active.unwrap_or((usize::MAX, 0));
+                active = Some((a0.min(first + delay), a1.max(last + delay)));
             }
-            truths.push(s);
+            members.push(MemberResponse {
+                responded: out.responses_sent > 0,
+                power_w: out.average_power_w,
+                rectified_v: out.rectified_v,
+                switch_wave: out.switch_wave,
+                delay,
+            });
         }
-
-        add_awgn(&mut y, self.noise_sigma_pa, &mut self.rng);
-        let recorded = self.receiver.record(&y);
-        let cutoff = (2.0 * self.bitrate_bps()).clamp(200.0, 0.4 * fs);
-        let mut baseband = Vec::with_capacity(k);
-        for m in &self.members {
-            baseband.push(self.receiver.demodulate_complex(&recorded, m.carrier_hz, cutoff)?);
-        }
-        Ok(SlotOutput {
-            baseband,
-            truths,
-            responded,
-            power_w,
-            rectified_v,
-            samples: n_rx,
+        Ok(CleanSlot {
+            y_clean: y,
+            members,
+            active,
         })
     }
 
@@ -499,42 +616,30 @@ impl CollisionGroupSimulator {
     pub fn train(&mut self, command: Command) -> Result<TrainingOutcome, CoreError> {
         let fs = self.fs_hz;
         let k = self.members.len();
-        let tail = self.response_tail_s();
         let pad = (0.005 * fs).floor() as usize;
         let mut elapsed_s = 0.0;
         // offsets[band] averaged across slots; gains[band][member].
         let mut offsets = vec![Complex64::new(0.0, 0.0); k];
         let mut gains = vec![vec![Complex64::new(0.0, 0.0); k]; k];
         for j in 0..k {
-            let q = DownlinkQuery {
+            let query = DownlinkQuery {
                 dest: self.members[j].addr,
                 command,
             };
-            let (wq, _) = self
-                .projector
-                .query_waveform(&q, self.members[j].carrier_hz, tail)?;
-            let dur = wq.len() as f64 / fs;
-            let mut waves = Vec::with_capacity(k);
-            for (ci, m) in self.members.iter().enumerate() {
-                if ci == j {
-                    waves.push(Vec::new()); // placeholder, replaced below
-                } else {
-                    waves.push(self.projector.continuous_wave(m.carrier_hz, dur));
-                }
-            }
-            waves[j] = wq;
-            let slot = self.run_slot(&waves)?;
-            elapsed_s += slot.samples as f64 / fs;
-            if !slot.responded[j] {
+            let plan: Vec<Option<DownlinkQuery>> =
+                (0..k).map(|ci| (ci == j).then_some(query)).collect();
+            let slot = self.run_slot(&plan)?;
+            elapsed_s += slot.samples() as f64 / fs;
+            let member = &slot.clean.members[j];
+            if !member.responded {
                 return Err(CoreError::NodeNotPoweredUp);
             }
             let len = slot.baseband.iter().map(Vec::len).min().unwrap_or(0);
-            let (a0, a1) = active_range(&slot.truths, pad, len);
+            let window = active_range(slot.clean.active, pad, len);
+            let truth = member.truth(window);
+            let (a0, a1) = window;
             for b in 0..k {
-                let ch = estimate_channel_complex(
-                    &slot.baseband[b][a0..a1],
-                    &[&slot.truths[j][a0..a1]],
-                )?;
+                let ch = estimate_channel_complex(&slot.baseband[b][a0..a1], &[&truth])?;
                 offsets[b] += ch.offset / k as f64;
                 gains[b][j] = ch.gains[0];
             }
@@ -571,7 +676,7 @@ impl CollisionGroupSimulator {
         let collision = self.collide(&queries)?;
         Ok(CollisionOutcome {
             verdicts: self.verdicts(&collision),
-            elapsed_s: collision.slot.samples as f64 / self.fs_hz,
+            elapsed_s: collision.slot.samples() as f64 / self.fs_hz,
         })
     }
 
@@ -585,26 +690,25 @@ impl CollisionGroupSimulator {
     pub fn run_trial(&mut self, queries: &[DownlinkQuery]) -> Result<TrialReport, CoreError> {
         let training = self.train(Command::Ping)?;
         let collision = self.collide(queries)?;
-        if collision.slot.responded.contains(&false) {
+        if collision.slot.clean.members.iter().any(|m| !m.responded) {
             return Err(CoreError::NodeNotPoweredUp);
         }
         let fs = self.fs_hz;
         let bitrate = self.bitrate_bps();
         let max_lag = (0.002 * fs).floor() as usize;
-        let (c0, c1) = collision.window;
         let mut sinr_before_db = Vec::with_capacity(queries.len());
         let mut sinr_after_db = Vec::with_capacity(queries.len());
-        for ((band, stream), truth) in collision
+        for ((band, stream), member) in collision
             .bands
             .iter()
             .zip(&collision.streams)
-            .zip(&collision.slot.truths)
+            .zip(&collision.slot.clean.members)
         {
-            let truth = &truth[c0..c1];
+            let truth = member.truth(collision.window);
             let envelope: Vec<f64> = band.iter().map(|c| c.norm()).collect();
             let naive = naive_stream_estimate(&envelope);
-            sinr_before_db.push(aligned_sinr_db(&naive, truth, fs, bitrate, max_lag));
-            sinr_after_db.push(aligned_sinr_db(stream, truth, fs, bitrate, max_lag));
+            sinr_before_db.push(aligned_sinr_db(&naive, &truth, fs, bitrate, max_lag));
+            sinr_after_db.push(aligned_sinr_db(stream, &truth, fs, bitrate, max_lag));
         }
         Ok(TrialReport {
             sinr_before_db,
@@ -624,17 +728,12 @@ impl CollisionGroupSimulator {
             .channels
             .clone()
             .ok_or(CoreError::InvalidConfig("collision slot before training"))?;
-        let tail = self.response_tail_s();
-        let mut waves = Vec::with_capacity(queries.len());
-        for (m, q) in self.members.iter().zip(queries) {
-            let (w, _) = self.projector.query_waveform(q, m.carrier_hz, tail)?;
-            waves.push(w);
-        }
-        let slot = self.run_slot(&waves)?;
+        let plan: Vec<Option<DownlinkQuery>> = queries.iter().copied().map(Some).collect();
+        let slot = self.run_slot(&plan)?;
 
         let pad = (0.005 * self.fs_hz).floor() as usize;
         let len = slot.baseband.iter().map(Vec::len).min().unwrap_or(0);
-        let (c0, c1) = active_range(&slot.truths, pad, len);
+        let (c0, c1) = active_range(slot.clean.active, pad, len);
         let bands: Vec<Vec<Complex64>> = slot
             .baseband
             .iter()
@@ -649,12 +748,24 @@ impl CollisionGroupSimulator {
         })
     }
 
+    /// Drop every memoised clean slot, so the next slot runs the full
+    /// chain (the cached == uncached regression test's uncached arm).
+    #[cfg(test)]
+    fn clear_slot_memo(&mut self) {
+        self.slot_memo.clear();
+    }
+
     /// Decode each separated stream of `collision` independently.
     fn verdicts(&self, collision: &Collision) -> Vec<StreamVerdict> {
         let slot = &collision.slot;
         let bitrate = self.bitrate_bps();
         let mut verdicts = Vec::with_capacity(self.members.len());
-        for (i, (m, stream)) in self.members.iter().zip(&collision.streams).enumerate() {
+        for ((m, stream), member) in self
+            .members
+            .iter()
+            .zip(&collision.streams)
+            .zip(&slot.clean.members)
+        {
             let verdict = match self.receiver.decode_envelope(stream, bitrate) {
                 Ok(d) => StreamVerdict {
                     addr: m.addr,
@@ -663,8 +774,8 @@ impl CollisionGroupSimulator {
                     preamble_corr: d.preamble_corr,
                     snr_db: d.snr_db,
                     packet: d.packet.ok(),
-                    power_w: slot.power_w[i],
-                    rectified_v: slot.rectified_v[i],
+                    power_w: member.power_w,
+                    rectified_v: member.rectified_v,
                 },
                 Err(_) => StreamVerdict {
                     addr: m.addr,
@@ -673,13 +784,13 @@ impl CollisionGroupSimulator {
                     preamble_corr: 0.0,
                     snr_db: f64::NEG_INFINITY,
                     packet: None,
-                    power_w: slot.power_w[i],
-                    rectified_v: slot.rectified_v[i],
+                    power_w: member.power_w,
+                    rectified_v: member.rectified_v,
                 },
             };
             // A member that never responded cannot have delivered: treat
             // any accidental decode as the erasure it physically is.
-            if slot.responded[i] {
+            if member.responded {
                 verdicts.push(verdict);
             } else {
                 verdicts.push(StreamVerdict {
@@ -696,19 +807,14 @@ impl CollisionGroupSimulator {
     }
 }
 
-/// First/last sample where any ground-truth stream is active, padded by
-/// `pad` samples and clamped to `len`.
-fn active_range(truths: &[Vec<f64>], pad: usize, len: usize) -> (usize, usize) {
-    let mut first = len;
-    let mut last = 0;
-    for s in truths {
-        if let Some(i) = s.iter().position(|&v| v > 0.5) {
-            first = first.min(i);
-        }
-        if let Some(i) = s.iter().rposition(|&v| v > 0.5) {
-            last = last.max(i);
-        }
-    }
+/// The slot's active window: its first/last reflecting sample `active`,
+/// padded by `pad` samples and clamped to `len` (the whole slot when no
+/// member reflects inside it).
+fn active_range(active: Option<(usize, usize)>, pad: usize, len: usize) -> (usize, usize) {
+    let (first, last) = match active {
+        Some((first, last)) => (first.min(len), last),
+        None => (len, 0),
+    };
     if first >= last {
         return (0, len);
     }
@@ -895,5 +1001,87 @@ mod tests {
         assert!(group.is_trained());
         group.set_bitrate_target(512.0).unwrap();
         assert!(!group.is_trained(), "rung change must force retraining");
+    }
+
+    /// Everything a verdict reports, floats as bits.
+    type VerdictBits = (u8, bool, bool, [u64; 4], Option<UplinkPacket>);
+
+    fn verdict_bits(v: &StreamVerdict) -> VerdictBits {
+        let floats = [v.preamble_corr, v.snr_db, v.power_w, v.rectified_v];
+        (
+            v.addr,
+            v.preamble_found,
+            v.crc_ok,
+            floats.map(f64::to_bits),
+            v.packet.clone(),
+        )
+    }
+
+    #[test]
+    fn slot_memo_is_bitwise_transparent() {
+        let cfg = wide_pair_cfg();
+        let mut cached = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
+        let mut uncached = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
+        // The trailing train + slot repeat the 512 bps plans, so the
+        // cached group serves training from the memo too.
+        let mut hits = std::collections::BTreeSet::new();
+        for step in ["train", "slot", "slot", "slot", "rung", "train", "slot", "train", "slot"] {
+            uncached.clear_slot_memo();
+            let before = cached.slot_memo.len();
+            match step {
+                "train" => {
+                    let a = cached.train(Command::Ping).unwrap();
+                    let b = uncached.train(Command::Ping).unwrap();
+                    assert_eq!(a.elapsed_s.to_bits(), b.elapsed_s.to_bits());
+                    assert_eq!(a.condition_number.to_bits(), b.condition_number.to_bits());
+                }
+                "slot" => {
+                    let a = cached.collision_slot(Command::Ping).unwrap();
+                    let b = uncached.collision_slot(Command::Ping).unwrap();
+                    assert_eq!(a.elapsed_s.to_bits(), b.elapsed_s.to_bits());
+                    let a: Vec<_> = a.verdicts.iter().map(verdict_bits).collect();
+                    let b: Vec<_> = b.verdicts.iter().map(verdict_bits).collect();
+                    assert_eq!(a, b, "cached slot diverged from uncached");
+                }
+                _ => {
+                    cached.set_bitrate_target(512.0).unwrap();
+                    uncached.set_bitrate_target(512.0).unwrap();
+                }
+            }
+            if step != "rung" && cached.slot_memo.len() == before {
+                hits.insert(step);
+            }
+            assert_eq!(
+                cached.condition_number().to_bits(),
+                uncached.condition_number().to_bits()
+            );
+        }
+        assert_eq!(hits.into_iter().collect::<Vec<_>>(), ["slot", "train"]);
+    }
+
+    #[test]
+    fn slot_memo_keys_do_not_alias() {
+        let cfg = wide_pair_cfg();
+        let mut group = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
+        let pings: Vec<DownlinkQuery> = [1, 2]
+            .iter()
+            .map(|&dest| DownlinkQuery {
+                dest,
+                command: Command::Ping,
+            })
+            .collect();
+        // Two training slots plus the addressed collision.
+        group.run_trial(&pings).unwrap();
+        assert_eq!(group.slot_memo.len(), 3);
+        // A broadcast collision is a different plan from addressed pings.
+        group.collision_slot(Command::Ping).unwrap();
+        assert_eq!(group.slot_memo.len(), 4);
+        group.collision_slot(Command::Ping).unwrap();
+        assert_eq!(group.slot_memo.len(), 4, "repeat broadcast must hit");
+        // A rung change re-keys training and the collision.
+        group.set_bitrate_target(512.0).unwrap();
+        group.train(Command::Ping).unwrap();
+        group.collision_slot(Command::Ping).unwrap();
+        assert_eq!(group.slot_memo.len(), 7);
     }
 }

@@ -86,6 +86,13 @@ pub fn margin_samples(fs_hz: f64) -> Result<usize, CoreError> {
     Ok((0.01 * fs_hz).floor() as usize)
 }
 
+/// Bound on the entry count of every slot-engine memo (the link's
+/// waveform, incident and clean-exchange caches and the collision group's
+/// clean-slot memo): past this the whole map is cleared. Drift ramps
+/// insert one entry per distinct offset; wholesale clearing keeps the
+/// worst case bounded without LRU bookkeeping.
+pub(crate) const CACHE_CAP: usize = 16;
+
 /// Errors surfaced by the core simulation.
 #[derive(Debug)]
 pub enum CoreError {

@@ -5,7 +5,7 @@ use crate::node::{IncidentComponent, NodeOutput, PabNode};
 use crate::projector::Projector;
 use crate::receiver::{Decoded, Receiver};
 use crate::scratch::{self, Scratch};
-use crate::{margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::{margin_samples, CoreError, CACHE_CAP, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{FaultSchedule, Pool, Position};
 use pab_mcu::Clock;
@@ -209,8 +209,9 @@ impl SlotEngineStats {
 }
 
 /// Stable cache identity of a `Command` (the enum carries no explicit
-/// discriminants, so spell the mapping out here).
-fn command_key(command: Command) -> (u8, u16) {
+/// discriminants, so spell the mapping out here). Shared with the
+/// collision group's slot memo.
+pub(crate) fn command_key(command: Command) -> (u8, u16) {
     match command {
         Command::Ping => (0, 0),
         Command::SetBitrateDivider(d) => (1, d),
@@ -251,11 +252,6 @@ struct CachedExchange {
     rectified_v: f64,
     power_w: f64,
 }
-
-/// Bound on each cache's entry count: past this the whole map is cleared
-/// (drift ramps insert one entry per distinct offset; wholesale clearing
-/// keeps the worst case bounded without LRU bookkeeping).
-const CACHE_CAP: usize = 16;
 
 /// The link simulator.
 ///

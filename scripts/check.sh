@@ -39,6 +39,9 @@ echo "==> ext_collision_faultnet --quick  (collision-slot smoke: pairing, traini
 cargo run --release -q -p pab-experiments --bin ext_collision_faultnet -- --quick
 [ -s results/ext_collision_faultnet.csv ] || { echo "missing results/ext_collision_faultnet.csv"; exit 1; }
 
+echo "==> quick smokes  (committed collision CSV and fault trace exports must regenerate byte-identical)"
+git diff --exit-code -- results/ext_collision_faultnet.csv results/fault_trace.csv results/fault_trace_summary.csv results/fault_trace.bin
+
 echo "==> fig10_concurrent + ext_three_channels  (collision engine: committed CSVs must regenerate byte-identical)"
 cargo run --release -q -p pab-experiments --bin fig10_concurrent > /dev/null
 cargo run --release -q -p pab-experiments --bin ext_three_channels > /dev/null
