@@ -398,7 +398,7 @@ pub fn aligned_sinr_db(
     if n < 4 * max_lag + 16 {
         return sinr_db(estimate, truth01);
     }
-    let cutoff = (2.0 * bitrate_bps).clamp(200.0, 0.4 * fs_hz);
+    let cutoff = crate::receiver::demod_cutoff_hz(bitrate_bps, fs_hz);
     let smooth = match pab_dsp::iir::butter_lowpass(4, cutoff, fs_hz) {
         Ok(lp) => lp.filtfilt(&truth01[..n]),
         Err(_) => truth01[..n].to_vec(),

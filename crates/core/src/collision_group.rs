@@ -16,8 +16,8 @@
 //!   condition number and the round falls back to FDMA;
 //! * **collision slots** transmit one query per member carrier, every
 //!   member answers concurrently, and the k separated streams each run
-//!   the normal envelope decode + CRC so the MAC can account per-stream
-//!   verdicts individually. The faultnet slot loop sends one *broadcast*
+//!   the receiver's envelope decode + CRC so the MAC can account
+//!   per-stream verdicts individually. The faultnet slot loop sends one *broadcast*
 //!   query ([`BROADCAST_ADDR`](pab_net::packet::BROADCAST_ADDR)) on every
 //!   carrier ([`collision_slot`](CollisionGroupSimulator::collision_slot));
 //!   Fig. 10 sends each member its own addressed query.
@@ -47,8 +47,13 @@
 //! members in fault windows out of collision slots. It is bounded like
 //! the link's caches (cleared when it reaches `CACHE_CAP` entries). A
 //! hit still draws AWGN from the group's stream (as many draws as a
-//! miss), then demodulates every band at full rate, zero-forces and
-//! decodes, so cached and uncached slots are bit-identical.
+//! miss), then runs the receive chain, so cached and uncached slots are
+//! bit-identical. Every receive stage runs on the receiver's memoised
+//! per-bitrate front-end ([`Receiver::demodulate_complex`] and
+//! [`Receiver::decode_envelope`]): each band takes its mix→filter stage at
+//! the full rate, and after zero-forcing each stream takes its
+//! anti-alias decimator, trend filter and preamble template ahead of the
+//! slicer, so no filter is designed per slot.
 
 use crate::collision::{
     aligned_sinr_db, condition_number_n, estimate_channel_complex, naive_stream_estimate,
@@ -513,11 +518,11 @@ impl CollisionGroupSimulator {
 
         let mut y = clean.y_clean.clone();
         add_awgn(&mut y, self.noise_sigma_pa, &mut self.rng);
-        let recorded = self.receiver.record(&y);
-        let cutoff = (2.0 * self.bitrate_bps()).clamp(200.0, 0.4 * self.fs_hz);
+        self.receiver.record(&mut y);
+        let bitrate = self.bitrate_bps();
         let mut baseband = Vec::with_capacity(self.members.len());
         for m in &self.members {
-            baseband.push(self.receiver.demodulate_complex(&recorded, m.carrier_hz, cutoff)?);
+            baseband.push(self.receiver.demodulate_complex(&y, m.carrier_hz, bitrate)?);
         }
         Ok(SlotOutput { baseband, clean })
     }

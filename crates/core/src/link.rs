@@ -525,12 +525,10 @@ impl LinkSimulator {
         add_awgn(&mut y, self.sigma_pa, &mut self.rng);
         faults.add_burst_noise(&mut y, t_start_s, fs_hz);
 
-        let recorded = self.receiver.record(&y);
+        self.receiver.record(&mut y);
         let bitrate = self.bitrate_bps();
-        let decoded = self
-            .receiver
-            .decode_uplink(&recorded, self.cfg.carrier_hz, bitrate);
-        Ok(self.build_report(node_out, decoded, bitrate, recorded))
+        let decoded = self.receiver.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
+        Ok(self.build_report(node_out, decoded, bitrate, y))
     }
 
     /// Run one fault-scheduled slot exchange through the caching slot
@@ -698,12 +696,7 @@ impl LinkSimulator {
         };
         add_awgn(&mut y, self.sigma_pa, &mut self.rng);
         faults.add_burst_noise(&mut y, t_start_s, fs_hz);
-        // Receiver::record, in place: the hydrophone scaling is a pure
-        // per-sample multiply.
-        let sensitivity = self.receiver.sensitivity_v_per_pa;
-        for s in y.iter_mut() {
-            *s *= sensitivity;
-        }
+        self.receiver.record(&mut y);
         let decoded = self
             .receiver
             .decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
@@ -870,9 +863,8 @@ impl LinkSimulator {
         self.ch_nh
             .apply_into(&mut y, &node_out.backscatter[0], fs_hz);
         add_awgn(&mut y, self.sigma_pa, &mut self.rng);
-        let recorded = self.receiver.record(&y);
-        self.receiver
-            .demodulate(&recorded, self.cfg.carrier_hz, 60.0)
+        self.receiver.record(&mut y);
+        self.receiver.demodulate(&y, self.cfg.carrier_hz, 60.0)
     }
 }
 

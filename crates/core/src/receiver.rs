@@ -2,13 +2,15 @@
 //! low-pass, packet detection by preamble correlation, CFO estimation, and
 //! a maximum-likelihood FM0 decoder, with CRC verification.
 //!
-//! The coherent decoder is organised around a memoised [`FrontEnd`]: all
-//! designs that depend only on `(carrier, bitrate, fs)` — the baseband
-//! Butterworth, the fused mix→filter→decimate polyphase stage, the
-//! detrending filter, the preamble matched-filter template and its FFT'd
-//! correlation kernels — are built once and reused, and every per-decode
-//! buffer lives in a [`DecodeScratch`] arena so a steady-state decode
-//! performs zero heap allocations (pinned by `tests/slot_engine_alloc.rs`).
+//! Every design the chain uses is memoised in one [`FrontEnd`] per bitrate
+//! (the designs depend only on `(bitrate, fs)`, never on the carrier): the
+//! baseband Butterworth, the anti-alias polyphase decimator, the detrending
+//! filter, the preamble matched-filter template and its FFT'd correlation
+//! kernels. The link's coherent decode, the collision group's per-band
+//! demodulation and its separated-stream decode all run on it, and every
+//! per-decode buffer lives in a [`DecodeScratch`] arena so a steady-state
+//! coherent decode performs zero heap allocations (pinned by
+//! `tests/slot_engine_alloc.rs`).
 
 use crate::scratch::{DecodeScratch, SlicerScratch};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
@@ -39,20 +41,17 @@ use std::sync::{Arc, Mutex};
 /// (e.g. 256 bps at 192 kHz, `decim == 23`) get the fast path.
 const DIRECT_DECIM_MIN: usize = 16;
 
-/// Designs the receiver rebuilds identically packet after packet —
-/// Butterworth cascades and preamble templates for the envelope path —
-/// memoised behind a `RefCell` so `&self` decode calls stay ergonomic.
-/// Keys use `f64::to_bits` so identical parameters hit deterministically.
-#[derive(Debug, Clone, Default)]
-struct RxCaches {
-    butter: HashMap<(usize, u64, u64), Cascade>,
-    preamble: HashMap<(u64, u64), Vec<f64>>,
+/// Cutoff of the baseband-selection Butterworth for an FM0 stream at
+/// `bitrate_bps` sampled at `fs_hz`: twice the bitrate (the first FM0
+/// lobe), clamped to a sane band.
+pub(crate) fn demod_cutoff_hz(bitrate_bps: f64, fs_hz: f64) -> f64 {
+    (2.0 * bitrate_bps).clamp(200.0, 0.4 * fs_hz)
 }
 
-/// Everything the coherent uplink decoder needs that depends only on
-/// `(carrier, bitrate, fs)`: filter designs, the fused decimator, the
+/// Everything the receive chain needs that depends only on
+/// `(bitrate, fs)`: filter designs, the fused decimator, the
 /// matched-filter template and its per-block-size FFT kernels. Built once
-/// per parameter set by [`Receiver::front_end`] and shared via `Arc`.
+/// per bitrate by [`Receiver::front_end`] and shared via `Arc`.
 #[derive(Debug)]
 struct FrontEnd {
     /// Baseband-selection Butterworth (order 4) at the full rate.
@@ -66,9 +65,10 @@ struct FrontEnd {
     aa: Option<PolyphaseDecimator>,
     /// Detrending low-pass (order 2) at the decimated rate.
     trend: Cascade,
-    /// ±1 preamble matched-filter template at `fs2`, widened to complex.
-    template_c: Vec<Complex64>,
-    /// Conjugated template — the source for FFT correlation kernels.
+    /// ±1 preamble matched-filter template at `fs2`.
+    template: Vec<f64>,
+    /// The template widened to complex and conjugated: the coherent
+    /// correlation's taps and the source for its FFT kernels.
     template_conj: Vec<Complex64>,
     /// Template energy `sqrt(Σ t²)`.
     t_energy: f64,
@@ -78,8 +78,7 @@ struct FrontEnd {
 
 impl FrontEnd {
     fn new(bitrate_bps: f64, fs_hz: f64) -> Result<FrontEnd, CoreError> {
-        let cutoff = (2.0 * bitrate_bps).clamp(200.0, 0.4 * fs_hz);
-        let butter4 = butter_lowpass(4, cutoff, fs_hz)?;
+        let butter4 = butter_lowpass(4, demod_cutoff_hz(bitrate_bps, fs_hz), fs_hz)?;
         let spb_raw = fs_hz / (2.0 * bitrate_bps);
         let decim = ((spb_raw / 16.0).floor() as usize).max(1);
         let fs2 = fs_hz / decim as f64;
@@ -100,8 +99,7 @@ impl FrontEnd {
             Some(PolyphaseDecimator::new(fir, decim, mode)?)
         };
         let trend = butter_lowpass(2, (bitrate_bps / 20.0).max(2.0), fs2)?;
-        // The ±1 template, sampled at the decimated rate (identical
-        // construction to Receiver::preamble_template).
+        // The ±1 template, sampled at the decimated rate.
         let halves = fm0::encode(&UPLINK_PREAMBLE, false);
         let spb2 = fs2 / (2.0 * bitrate_bps);
         let n = (halves.len() as f64 * spb2).round() as usize;
@@ -116,20 +114,40 @@ impl FrontEnd {
             })
             .collect();
         let t_energy = template.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let template_c: Vec<Complex64> =
-            template.iter().map(|&t| Complex64::new(t, 0.0)).collect();
-        let template_conj: Vec<Complex64> = template_c.iter().map(|t| t.conj()).collect();
+        let template_conj: Vec<Complex64> =
+            template.iter().map(|&t| Complex64::new(t, 0.0).conj()).collect();
         Ok(FrontEnd {
             butter4,
             decim,
             fs2,
             aa,
             trend,
-            template_c,
+            template,
             template_conj,
             t_energy,
             xcorr_kfft: Mutex::new(HashMap::new()),
         })
+    }
+
+    /// The first stage, mix→filter: downconvert `signal` from
+    /// `carrier_hz` straight into the centre of the padded filtfilt
+    /// workspace `ext` (no full-rate intermediate vector), then run the
+    /// baseband Butterworth forward-backward in place; the pad margins
+    /// are filled with odd reflections by the filter itself. Returns the
+    /// full-rate baseband (without the ×2 mixing-loss correction).
+    fn baseband<'a>(
+        &self,
+        signal: &[f64],
+        carrier_hz: f64,
+        fs_hz: f64,
+        ext: &'a mut Vec<Complex64>,
+    ) -> &'a [Complex64] {
+        let n = signal.len();
+        let pad = self.butter4.filtfilt_pad(n);
+        ext.resize(n + 2 * pad, Complex64::new(0.0, 0.0));
+        downconvert_into(signal, carrier_hz, fs_hz, &mut ext[pad..pad + n]);
+        self.butter4.filtfilt_complex_in_place(ext, pad, n);
+        &ext[pad..pad + n]
     }
 
     /// The FFT of the (time-reversed, zero-padded) conjugated template
@@ -179,9 +197,9 @@ impl FrontEndStats {
 
 /// The hydrophone + offline decoder.
 ///
-/// Holds per-instance design caches (filters, templates, front-ends) and
-/// the decode scratch arena, so keep one `Receiver` alive across packets
-/// in Monte-Carlo sweeps rather than constructing a fresh one per decode.
+/// Holds the per-bitrate [`FrontEnd`] design memo and the decode scratch
+/// arena, so keep one `Receiver` alive across packets in Monte-Carlo
+/// sweeps rather than constructing a fresh one per decode.
 #[derive(Debug, Clone)]
 pub struct Receiver {
     /// Hydrophone sensitivity, volts per pascal (H2a: −180 dB re 1 V/µPa
@@ -189,8 +207,7 @@ pub struct Receiver {
     pub sensitivity_v_per_pa: f64,
     /// Sample rate, Hz.
     pub fs_hz: f64,
-    caches: RefCell<RxCaches>,
-    front_ends: RefCell<HashMap<(u64, u64), Arc<FrontEnd>>>,
+    front_ends: RefCell<HashMap<u64, Arc<FrontEnd>>>,
     scratch: RefCell<DecodeScratch>,
     fe_stats: Cell<FrontEndStats>,
 }
@@ -250,33 +267,21 @@ impl Default for Receiver {
 
 impl Receiver {
     /// Build a receiver with the given hydrophone sensitivity and sample
-    /// rate, with empty design caches.
+    /// rate, with an empty design memo.
     pub fn new(sensitivity_v_per_pa: f64, fs_hz: f64) -> Self {
         Receiver {
             sensitivity_v_per_pa,
             fs_hz,
-            caches: RefCell::new(RxCaches::default()),
             front_ends: RefCell::new(HashMap::new()),
             scratch: RefCell::new(DecodeScratch::default()),
             fe_stats: Cell::new(FrontEndStats::default()),
         }
     }
 
-    /// Memoised [`butter_lowpass`] design.
-    fn cached_butter(&self, order: usize, cutoff_hz: f64, fs_hz: f64) -> Result<Cascade, CoreError> {
-        let key = (order, cutoff_hz.to_bits(), fs_hz.to_bits());
-        if let Some(c) = self.caches.borrow().butter.get(&key) {
-            return Ok(c.clone());
-        }
-        let c = butter_lowpass(order, cutoff_hz, fs_hz)?;
-        self.caches.borrow_mut().butter.insert(key, c.clone());
-        Ok(c)
-    }
-
-    /// The memoised coherent front-end for `(carrier_hz, bitrate_bps)` at
-    /// this receiver's sample rate.
-    fn front_end(&self, carrier_hz: f64, bitrate_bps: f64) -> Result<Arc<FrontEnd>, CoreError> {
-        let key = (carrier_hz.to_bits(), bitrate_bps.to_bits());
+    /// The memoised front-end for `bitrate_bps` at this receiver's
+    /// sample rate (keyed by bitrate alone: no design reads the carrier).
+    fn front_end(&self, bitrate_bps: f64) -> Result<Arc<FrontEnd>, CoreError> {
+        let key = bitrate_bps.to_bits();
         if let Some(fe) = self.front_ends.borrow().get(&key) {
             let mut st = self.fe_stats.get();
             st.design_hits += 1;
@@ -296,80 +301,53 @@ impl Receiver {
         self.fe_stats.get()
     }
 
-    /// Convert a pressure waveform into the recorded voltage waveform.
-    pub fn record(&self, pressure: &[f64]) -> Vec<f64> {
-        pressure
-            .iter()
-            .map(|&p| p * self.sensitivity_v_per_pa)
-            .collect()
-    }
-
-    /// Downconvert at `carrier_hz` and Butterworth low-pass at
-    /// `cutoff_hz`: the analysis front shared by both demodulators.
-    fn downconvert_lowpass(
-        &self,
-        signal: &[f64],
-        carrier_hz: f64,
-        cutoff_hz: f64,
-    ) -> Result<Vec<Complex64>, CoreError> {
-        let bb = downconvert(signal, carrier_hz, self.fs_hz);
-        let lp = self.cached_butter(4, cutoff_hz, self.fs_hz)?;
-        Ok(lp.filtfilt_complex(&bb))
+    /// Convert a pressure waveform into the recorded voltage waveform,
+    /// in place: the hydrophone scaling is a pure per-sample multiply.
+    pub fn record(&self, signal: &mut [f64]) {
+        for s in signal.iter_mut() {
+            *s *= self.sensitivity_v_per_pa;
+        }
     }
 
     /// Demodulate a received waveform around `carrier_hz`: downconvert,
     /// low-pass at `cutoff_hz`, return the amplitude envelope (Fig. 2).
+    /// The Butterworth is designed per call: this is the one-off analysis
+    /// view, not a decode path.
     pub fn demodulate(
         &self,
         signal: &[f64],
         carrier_hz: f64,
         cutoff_hz: f64,
     ) -> Result<Vec<f64>, CoreError> {
-        let filtered = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
+        let lp = butter_lowpass(4, cutoff_hz, self.fs_hz)?;
+        let filtered = lp.filtfilt_complex(&downconvert(signal, carrier_hz, self.fs_hz));
         Ok(filtered.iter().map(|c| 2.0 * c.norm()).collect())
     }
 
-    /// Coherent demodulation: downconvert at `carrier_hz` and low-pass,
-    /// returning the complex baseband (×2 to undo real→complex mixing
-    /// loss). This is the observation the MIMO collision decoder works on.
+    /// Coherent demodulation of the band at `carrier_hz` for an FM0
+    /// stream at `bitrate_bps`: the [`FrontEnd`]'s mix→filter stage at the
+    /// full rate, returning the complex baseband ×2 (undoing the
+    /// real→complex mixing loss). This is the observation the MIMO
+    /// collision decoder works on.
     pub fn demodulate_complex(
         &self,
         signal: &[f64],
         carrier_hz: f64,
-        cutoff_hz: f64,
+        bitrate_bps: f64,
     ) -> Result<Vec<Complex64>, CoreError> {
-        let mut out = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
+        let fe = self.front_end(bitrate_bps)?;
+        // The padded workspace becomes the result (centre kept, ×2), so
+        // there is no copy and the receiver keeps no full-rate buffer
+        // alive between slots.
+        let mut out = Vec::new();
+        fe.baseband(signal, carrier_hz, self.fs_hz, &mut out);
+        let pad = fe.butter4.filtfilt_pad(signal.len());
+        out.truncate(pad + signal.len());
+        out.drain(..pad);
         for c in out.iter_mut() {
             *c = 2.0 * *c;
         }
         Ok(out)
-    }
-
-    /// Build the ±1 preamble matched-filter template at `bitrate_bps`
-    /// for sample rate `fs_hz`, memoised per `(bitrate, fs)` pair.
-    fn preamble_template(&self, bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
-        let key = (bitrate_bps.to_bits(), fs_hz.to_bits());
-        if let Some(t) = self.caches.borrow().preamble.get(&key) {
-            return t.clone();
-        }
-        let halves = fm0::encode(&UPLINK_PREAMBLE, false);
-        let spb = fs_hz / (2.0 * bitrate_bps);
-        let n = (halves.len() as f64 * spb).round() as usize;
-        let template: Vec<f64> = (0..n)
-            .map(|i| {
-                let k = ((i as f64 / spb) as usize).min(halves.len() - 1);
-                if halves[k] {
-                    1.0
-                } else {
-                    -1.0
-                }
-            })
-            .collect();
-        self.caches
-            .borrow_mut()
-            .preamble
-            .insert(key, template.clone());
-        template
     }
 
     /// Maximum-likelihood FM0 half-bit sequence detection.
@@ -488,20 +466,10 @@ impl Receiver {
         if signal.len() < 64 {
             return Err(CoreError::InvalidConfig("signal too short"));
         }
-        let fe = self.front_end(carrier_hz, bitrate_bps)?;
+        let fe = self.front_end(bitrate_bps)?;
         let s = &mut *self.scratch.borrow_mut();
         let n = signal.len();
-
-        // Fused mix→filter: downconvert straight into the centre of the
-        // filtfilt workspace (the NCO phasor recurrence runs inside the
-        // write loop; no full-rate intermediate vector), then run the
-        // Butterworth forward-backward pass in place. The pad margins are
-        // filled with odd reflections by the filter itself.
-        let pad = fe.butter4.filtfilt_pad(n);
-        s.ext.resize(n + 2 * pad, Complex64::new(0.0, 0.0));
-        downconvert_into(signal, carrier_hz, self.fs_hz, &mut s.ext[pad..pad + n]);
-        fe.butter4.filtfilt_complex_in_place(&mut s.ext, pad, n);
-        let bb = &s.ext[pad..pad + n];
+        let bb = fe.baseband(signal, carrier_hz, self.fs_hz, &mut s.ext);
 
         // Fused filter→decimate, with the coherent ×2 (undoing the
         // real→complex mixing loss) applied as each sample is read.
@@ -577,7 +545,7 @@ impl Receiver {
         // kernel FFT for long templates, the direct loop otherwise
         // (exactly cross_correlate_complex's dispatch) — and the window
         // energy comes from an O(N) running sum.
-        let m = fe.template_c.len();
+        let m = fe.template.len();
         if d.len() <= m {
             return Err(CoreError::NoPacketDetected);
         }
@@ -589,8 +557,8 @@ impl Receiver {
             s.num.extend((0..=d.len() - m).map(|i| {
                 d[i..i + m]
                     .iter()
-                    .zip(&fe.template_c)
-                    .map(|(a, b)| a * b.conj())
+                    .zip(&fe.template_conj)
+                    .map(|(a, b)| a * b)
                     .sum::<Complex64>()
             }));
         }
@@ -690,68 +658,52 @@ impl Receiver {
     /// Decode a packet from an already-demodulated amplitude stream (the
     /// path used after MIMO zero-forcing, where the "envelope" is a
     /// separated stream estimate rather than a single band's magnitude).
+    ///
+    /// Runs on the same [`FrontEnd`] as the coherent decode: its
+    /// anti-alias decimator brings a half-bit to ~16 samples (keeping the
+    /// detrending filter's normalised cutoff numerically sane at low
+    /// bitrates), its trend filter removes the baseline, and its template
+    /// locates the packet.
     pub fn decode_envelope(
         &self,
         envelope: &[f64],
         bitrate_bps: f64,
-    ) -> Result<Decoded, CoreError> {
+    ) -> Result<DecodeVerdict, CoreError> {
         if !(bitrate_bps > 0.0) {
             return Err(CoreError::InvalidConfig("bitrate_bps"));
         }
-        // Decimate so a half-bit spans ~16 samples: this keeps the
-        // detrending filter's normalised cutoff numerically sane at low
-        // bitrates and makes symbol processing bitrate-independent.
-        let spb_raw = self.fs_hz / (2.0 * bitrate_bps);
-        let decim = ((spb_raw / 16.0).floor() as usize).max(1);
-        let envelope = pab_dsp::resample::decimate(envelope, decim, self.fs_hz)?;
-        let fs_hz = self.fs_hz / decim as f64;
+        let fe = self.front_end(bitrate_bps)?;
+        let decimated;
+        let envelope = match &fe.aa {
+            Some(aa) => {
+                decimated = aa.decimate(envelope);
+                &decimated[..]
+            }
+            None => envelope,
+        };
         // Detrend: the backscatter modulation rides on the much larger
         // direct-path carrier level (Fig. 2), and that baseline also moves
         // when the projector keys on/off. A low-pass trend (well below the
         // bit rate) subtracted out leaves just the modulation.
-        let trend_cutoff = (bitrate_bps / 20.0).max(2.0);
-        let trend = butter_lowpass(2, trend_cutoff, fs_hz)?.filtfilt(&envelope);
-        let centered: Vec<f64> = envelope
-            .iter()
-            .zip(&trend)
-            .map(|(&e, &t)| e - t)
-            .collect();
-        let template = self.preamble_template(bitrate_bps, fs_hz);
-        if centered.len() <= template.len() {
+        let trend = fe.trend.filtfilt(envelope);
+        let s = &mut *self.scratch.borrow_mut();
+        s.projected.clear();
+        s.projected
+            .extend(envelope.iter().zip(&trend).map(|(&e, &t)| e - t));
+        if s.projected.len() <= fe.template.len() {
             return Err(CoreError::NoPacketDetected);
         }
-        let corr = normalized_cross_correlate(&centered, &template);
+        let corr = normalized_cross_correlate(&s.projected, &fe.template);
         let (start, peak_corr) = argmax(&corr).ok_or(CoreError::NoPacketDetected)?;
         if peak_corr < 0.3 {
             return Err(CoreError::NoPacketDetected);
         }
-        let mut decoded = self.slice_and_decode(&centered, start, fs_hz, bitrate_bps)?;
-        decoded.start_sample = start * decim;
-        decoded.preamble_corr = peak_corr;
-        Ok(decoded)
-    }
-
-    /// [`Self::slice_core`] plus the diagnostic copies into a [`Decoded`]
-    /// (the envelope path's tail).
-    fn slice_and_decode(
-        &self,
-        centered: &[f64],
-        start: usize,
-        fs_hz: f64,
-        bitrate_bps: f64,
-    ) -> Result<Decoded, CoreError> {
-        let s = &mut *self.scratch.borrow_mut();
-        let outcome = Self::slice_core(centered, start, fs_hz, bitrate_bps, &mut s.slicer)?;
-        Ok(Decoded {
+        let outcome = Self::slice_core(&s.projected, start, fe.fs2, bitrate_bps, &mut s.slicer)?;
+        Ok(DecodeVerdict {
             packet: outcome.packet,
-            bits: s.slicer.bits.clone(),
-            halves: s.slicer.halves.clone(),
-            soft: s.slicer.soft.clone(),
-            start_sample: start,
+            start_sample: start * fe.decim,
             snr_db: outcome.snr_db,
-            // Overwritten by the callers, which know the detection peak.
-            preamble_corr: 0.0,
-            envelope: centered.to_vec(),
+            preamble_corr: peak_corr,
         })
     }
 
@@ -1062,8 +1014,148 @@ mod tests {
     #[test]
     fn record_applies_sensitivity() {
         let rx = Receiver::default();
-        let v = rx.record(&[1_000.0]);
+        let mut v = [1_000.0, -250.0];
+        rx.record(&mut v);
         assert!((v[0] - 1.0).abs() < 1e-12);
+        assert_eq!(v[1].to_bits(), (-250.0 * rx.sensitivity_v_per_pa).to_bits());
+    }
+
+    /// A zero-mean FM0 stream (±0.5 levels, silent lead-in and tail) with
+    /// seeded white noise: what a separated collision stream looks like.
+    fn fm0_stream(packet: &UplinkPacket, bitrate: f64, fs_hz: f64, seed: u64) -> Vec<f64> {
+        use rand::SeedableRng;
+        let halves = fm0::encode(&packet.to_bits().unwrap(), false);
+        let spb = fs_hz / (2.0 * bitrate);
+        let lead = (0.02 * fs_hz) as usize;
+        let body = (halves.len() as f64 * spb) as usize;
+        let mut w: Vec<f64> = (0..lead + body + lead)
+            .map(|i| match i.checked_sub(lead) {
+                Some(j) if j < body => {
+                    let k = ((j as f64 / spb) as usize).min(halves.len() - 1);
+                    if halves[k] {
+                        0.5
+                    } else {
+                        -0.5
+                    }
+                }
+                _ => 0.0,
+            })
+            .collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        pab_channel::noise::add_awgn(&mut w, 0.2, &mut rng);
+        w
+    }
+
+    /// The stream decode as it stood before it ran on the [`FrontEnd`]:
+    /// `resample::decimate`, a fresh order-2 Butterworth trend, a freshly
+    /// built ±1 template and `normalized_cross_correlate`, then the shared
+    /// slicer.
+    fn decode_envelope_reference(
+        rx: &Receiver,
+        envelope: &[f64],
+        bitrate_bps: f64,
+    ) -> Result<DecodeVerdict, CoreError> {
+        let spb_raw = rx.fs_hz / (2.0 * bitrate_bps);
+        let decim = ((spb_raw / 16.0).floor() as usize).max(1);
+        let envelope = pab_dsp::resample::decimate(envelope, decim, rx.fs_hz)?;
+        let fs_hz = rx.fs_hz / decim as f64;
+        let trend = butter_lowpass(2, (bitrate_bps / 20.0).max(2.0), fs_hz)?.filtfilt(&envelope);
+        let centered: Vec<f64> = envelope.iter().zip(&trend).map(|(&e, &t)| e - t).collect();
+        let halves = fm0::encode(&UPLINK_PREAMBLE, false);
+        let spb = fs_hz / (2.0 * bitrate_bps);
+        let n = (halves.len() as f64 * spb).round() as usize;
+        let template: Vec<f64> = (0..n)
+            .map(|i| {
+                if halves[((i as f64 / spb) as usize).min(halves.len() - 1)] {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        if centered.len() <= template.len() {
+            return Err(CoreError::NoPacketDetected);
+        }
+        let corr = normalized_cross_correlate(&centered, &template);
+        let (start, peak_corr) = argmax(&corr).ok_or(CoreError::NoPacketDetected)?;
+        if peak_corr < 0.3 {
+            return Err(CoreError::NoPacketDetected);
+        }
+        let mut sl = SlicerScratch::default();
+        let outcome = Receiver::slice_core(&centered, start, fs_hz, bitrate_bps, &mut sl)?;
+        Ok(DecodeVerdict {
+            packet: outcome.packet,
+            start_sample: start * decim,
+            snr_db: outcome.snr_db,
+            preamble_corr: peak_corr,
+        })
+    }
+
+    #[test]
+    fn envelope_decode_matches_the_pre_front_end_pipeline() {
+        let p = test_packet();
+        // Decimation 1, 2 and 5: the front-end's anti-alias design is the
+        // same FIR, so the verdicts agree bit for bit.
+        let bitwise = [
+            (96_000.0, 2730.67),
+            (96_000.0, 2048.0),
+            (96_000.0, 1024.0),
+            (192_000.0, 2730.67),
+            (192_000.0, 2048.0),
+            (192_000.0, 1024.0),
+        ];
+        // Decimation 11 (cutoff one ulp apart) and 23 (Direct summation):
+        // rounding-level differences, the same packet.
+        let same_packet = [(96_000.0, 256.0), (192_000.0, 512.0), (192_000.0, 256.0)];
+        for (i, &(fs, bitrate)) in bitwise.iter().chain(&same_packet).enumerate() {
+            let rx = Receiver::new(1.0e-3, fs);
+            let w = fm0_stream(&p, bitrate, fs, 40 + i as u64);
+            let old = decode_envelope_reference(&rx, &w, bitrate).unwrap();
+            let new = rx.decode_envelope(&w, bitrate).unwrap();
+            assert_eq!(new.packet.as_ref().unwrap(), &p, "fs={fs} bitrate={bitrate}");
+            assert_eq!(new.packet, old.packet, "fs={fs} bitrate={bitrate}");
+            if i < bitwise.len() {
+                assert_eq!(new.start_sample, old.start_sample, "fs={fs} bitrate={bitrate}");
+                assert_eq!(new.snr_db.to_bits(), old.snr_db.to_bits(), "fs={fs} bitrate={bitrate}");
+                assert_eq!(
+                    new.preamble_corr.to_bits(),
+                    old.preamble_corr.to_bits(),
+                    "fs={fs} bitrate={bitrate}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn band_demod_matches_downconvert_then_filtfilt() {
+        use rand::SeedableRng;
+        let rx = Receiver::default();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let w = pab_channel::noise::awgn(20_000, 1.0, &mut rng);
+        for (carrier, bitrate) in [(14_000.0, 1024.0), (19_000.0, 2730.67), (15_000.0, 50.0)] {
+            let lp = butter_lowpass(4, demod_cutoff_hz(bitrate, rx.fs_hz), rx.fs_hz).unwrap();
+            let want = lp.filtfilt_complex(&downconvert(&w, carrier, rx.fs_hz));
+            let got = rx.demodulate_complex(&w, carrier, bitrate).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, c) in got.iter().zip(&want) {
+                let c = 2.0 * *c;
+                assert_eq!((g.re.to_bits(), g.im.to_bits()), (c.re.to_bits(), c.im.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn one_bitrate_builds_one_design() {
+        let rx = Receiver::default();
+        let p = test_packet();
+        let w = synth_waveform(&p, 1024.0, rx.fs_hz, 14_000.0, 1.0, 0.4, 0.01);
+        rx.demodulate_complex(&w, 14_000.0, 1024.0).unwrap();
+        rx.demodulate_complex(&w, 19_000.0, 1024.0).unwrap();
+        let stream = fm0_stream(&p, 1024.0, rx.fs_hz, 9);
+        assert_eq!(rx.decode_envelope(&stream, 1024.0).unwrap().packet.unwrap(), p);
+        let st = rx.frontend_stats();
+        assert_eq!(st.design_misses, 1, "two bands and a stream at one bitrate share one design");
+        assert_eq!(st.design_hits, 2);
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub(crate) struct DecodeScratch {
     pub(crate) num: Vec<Complex64>,
     /// Trend magnitudes for the CFO-segment search.
     pub(crate) norms: Vec<f64>,
-    /// Projected real modulation stream fed to the slicer.
+    /// Real modulation stream fed to the slicer: the projected coherent
+    /// baseband, or the detrended envelope of a separated stream.
     pub(crate) projected: Vec<f64>,
     /// The symbol-slicing stage's own buffers.
     pub(crate) slicer: SlicerScratch,

@@ -74,7 +74,7 @@ fn schedules(intensity: u32, seed: u64) -> (FaultSchedule, FaultSchedule) {
 
 fn policy_for(name: &str) -> MacPolicy {
     match name {
-        "no-retry" => MacPolicy::NoRetry,
+        "no-retry" => MacPolicy::FixedRetry { max_retries: 0 },
         "fixed-retry" => MacPolicy::FixedRetry { max_retries: 2 },
         // Tightened quarantine so eviction lands well inside the slot
         // budget (the default config is tuned for longer campaigns).

@@ -745,11 +745,10 @@ impl AdaptiveConfig {
 /// The coordinator's loss-handling policy for one inventory round.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MacPolicy {
-    /// Any failure drops the packet immediately; no eviction. A dead node
-    /// is polled forever (the pre-resilience behaviour, kept as baseline).
-    NoRetry,
     /// Up to `max_retries` immediate retries per packet; no backoff, no
     /// eviction — a dead node still burns its channel's slots forever.
+    /// `max_retries: 0` is the pre-resilience baseline: any failure drops
+    /// the packet immediately.
     FixedRetry {
         /// Retries per packet.
         max_retries: u32,
@@ -830,13 +829,9 @@ impl ResilientMac {
     /// Register a node (see [`FdmaScheduler::register`]).
     pub fn register(&mut self, node: NodeEntry) -> Result<(), NetError> {
         self.scheduler.register(node)?;
-        let ladder = match &self.policy {
-            MacPolicy::Adaptive(cfg) => cfg.ladder.clone(),
-            _ => RateLadder::fm0_default(),
-        };
-        let alpha = match &self.policy {
-            MacPolicy::Adaptive(cfg) => cfg.ewma_alpha,
-            _ => 0.3,
+        let (ladder, alpha) = match &self.policy {
+            MacPolicy::Adaptive(cfg) => (cfg.ladder.clone(), cfg.ewma_alpha),
+            MacPolicy::FixedRetry { .. } => (RateLadder::fm0_default(), 0.3),
         };
         self.state.insert(
             node.addr,
@@ -1018,9 +1013,9 @@ impl ResilientMac {
         mut tel: Option<&mut Recorder>,
     ) -> Result<TxOutcome, NetError> {
         // Copy the adaptive tunables out first so `st` can borrow mutably.
-        let adaptive = match &self.policy {
-            MacPolicy::Adaptive(cfg) => Some(cfg.clone()),
-            _ => None,
+        let (adaptive, max_retries) = match &self.policy {
+            MacPolicy::Adaptive(cfg) => (Some(cfg.clone()), 0),
+            MacPolicy::FixedRetry { max_retries } => (None, *max_retries),
         };
         let slot = self.slots_used;
         let st = self
@@ -1031,12 +1026,8 @@ impl ResilientMac {
         let crc_ok = matches!(obs, RxObservation::Delivered { .. });
 
         let Some(cfg) = adaptive else {
-            // Baseline policies: the classic tracker semantics, blind to
+            // Baseline policy: the classic tracker semantics, blind to
             // the erasure/CRC distinction and with no eviction.
-            let max_retries = match self.policy {
-                MacPolicy::FixedRetry { max_retries } => max_retries,
-                _ => 0,
-            };
             return Ok(if crc_ok {
                 st.delivered += 1;
                 st.retries_used = 0;

@@ -47,6 +47,11 @@ cargo run --release -q -p pab-experiments --bin fig10_concurrent > /dev/null
 cargo run --release -q -p pab-experiments --bin ext_three_channels > /dev/null
 git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv
 
+echo "==> dump_identity + fig2_waveform  (faultnet/collision identity snapshot and the Fig. 2 artifacts must regenerate byte-identical)"
+cargo run --release -q -p pab-experiments --bin dump_identity -- results/identity > /dev/null
+cargo run --release -q -p pab-experiments --bin fig2_waveform > /dev/null
+git diff --exit-code -- results/identity results/fig2_waveform.csv results/fig2_envelope.wav
+
 echo "==> perfbench tests  (the benchmark still builds against the library API and passes its correctness gate)"
 cargo test --release --manifest-path perfbench/Cargo.toml
 
