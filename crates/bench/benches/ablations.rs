@@ -118,10 +118,10 @@ fn coherent_vs_envelope(c: &mut Criterion) {
     let rx = Receiver::default();
     let p = UplinkPacket::sensor_reading(1, 1, SensorKind::Ph, 7.0);
     let halves = fm0::encode(&p.to_bits().unwrap(), false);
-    let spb = rx.fs_hz / (2.0 * 1024.0);
-    let lead = (0.008 * rx.fs_hz) as usize;
+    let spb = rx.fs_hz() / (2.0 * 1024.0);
+    let lead = (0.008 * rx.fs_hz()) as usize;
     let n = lead + (halves.len() as f64 * spb) as usize + lead;
-    let mut nco = pab_dsp::mix::Nco::new(15_000.0, rx.fs_hz);
+    let mut nco = pab_dsp::mix::Nco::new(15_000.0, rx.fs_hz());
     let w: Vec<f64> = (0..n)
         .map(|i| {
             let amp = if i < lead || i >= n - lead {

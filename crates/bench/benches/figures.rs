@@ -18,8 +18,8 @@ use pab_piezo::Transducer;
 /// Fig. 2 kernel: demodulate a 0.5 s received waveform.
 fn fig2_demod(c: &mut Criterion) {
     let rx = Receiver::default();
-    let mut nco = pab_dsp::mix::Nco::new(15_000.0, rx.fs_hz);
-    let mut w = vec![0.0; (0.5 * rx.fs_hz) as usize];
+    let mut nco = pab_dsp::mix::Nco::new(15_000.0, rx.fs_hz());
+    let mut w = vec![0.0; (0.5 * rx.fs_hz()) as usize];
     nco.fill(&mut w);
     c.bench_function("fig2_demodulate_500ms", |b| {
         b.iter(|| rx.demodulate(&w, 15_000.0, 60.0).unwrap())
@@ -45,10 +45,10 @@ fn fig7_decode(c: &mut Criterion) {
     let rx = Receiver::default();
     let p = UplinkPacket::sensor_reading(1, 1, SensorKind::Ph, 7.0);
     let halves = fm0::encode(&p.to_bits().unwrap(), false);
-    let spb = rx.fs_hz / (2.0 * 1024.0);
-    let lead = (0.008 * rx.fs_hz) as usize;
+    let spb = rx.fs_hz() / (2.0 * 1024.0);
+    let lead = (0.008 * rx.fs_hz()) as usize;
     let n = lead + (halves.len() as f64 * spb) as usize + lead;
-    let mut nco = pab_dsp::mix::Nco::new(15_000.0, rx.fs_hz);
+    let mut nco = pab_dsp::mix::Nco::new(15_000.0, rx.fs_hz());
     let clean: Vec<f64> = (0..n)
         .map(|i| {
             let amp = if i < lead || i >= n - lead {

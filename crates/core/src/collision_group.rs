@@ -382,8 +382,7 @@ impl CollisionGroupSimulator {
         if cfg.members.len() < 2 {
             return Err(CoreError::InvalidConfig("collision group needs >= 2 members"));
         }
-        let mut projector = Projector::new(cfg.drive_voltage_v)?;
-        projector.fs_hz = cfg.fs_hz;
+        let projector = Projector::new(cfg.drive_voltage_v, cfg.fs_hz)?;
         let divider = Clock::watch_crystal()
             .divider_for_bitrate(cfg.bitrate_target_bps)
             .map_err(CoreError::Mcu)? as u16;

@@ -564,17 +564,11 @@ impl FaultNetSimulator {
                 });
             }
 
-            let obs = if report.preamble_found && report.crc_ok {
-                RxObservation::Delivered {
-                    margin: report.preamble_corr,
-                }
-            } else if report.preamble_found {
-                RxObservation::CrcFailed {
-                    margin: report.preamble_corr,
-                }
-            } else {
-                RxObservation::Erasure
-            };
+            let obs = RxObservation::from_decode(
+                report.preamble_found,
+                report.crc_ok,
+                report.preamble_corr,
+            );
             if report.preamble_found {
                 if let Some(t) = tel.as_deref_mut() {
                     if report.crc_ok {
@@ -711,17 +705,7 @@ impl FaultNetSimulator {
                     t.record(Event::Erasure { node: v.addr });
                 }
             }
-            let obs = if v.preamble_found && v.crc_ok {
-                RxObservation::Delivered {
-                    margin: v.preamble_corr,
-                }
-            } else if v.preamble_found {
-                RxObservation::CrcFailed {
-                    margin: v.preamble_corr,
-                }
-            } else {
-                RxObservation::Erasure
-            };
+            let obs = RxObservation::from_decode(v.preamble_found, v.crc_ok, v.preamble_corr);
             self.mac
                 .record_traced(v.addr, obs, tel.as_deref_mut())
                 .map_err(CoreError::Net)?;

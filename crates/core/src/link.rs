@@ -288,8 +288,7 @@ impl LinkSimulator {
     /// Build the simulator, designing the node front end and the
     /// propagation channels.
     pub fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
-        let mut projector = Projector::new(cfg.drive_voltage_v)?;
-        projector.fs_hz = cfg.fs_hz;
+        let projector = Projector::new(cfg.drive_voltage_v, cfg.fs_hz)?;
         let mut node = PabNode::new(cfg.node_addr, cfg.f_match_hz)?;
         for &f in &cfg.extra_match_hz {
             node = node.with_extra_frontend(f)?;

@@ -479,6 +479,7 @@ impl PabNode {
 mod tests {
     use super::*;
     use crate::projector::Projector;
+    use crate::DEFAULT_SAMPLE_RATE_HZ;
     use pab_net::packet::Command;
 
     fn incident_for_query(
@@ -486,7 +487,7 @@ mod tests {
         dest: u8,
         amp_scale: f64,
     ) -> (IncidentComponent, f64) {
-        let p = Projector::new(36.0).unwrap();
+        let p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         let q = DownlinkQuery { dest, command };
         let (w, _) = p.query_waveform(&q, 15_000.0, 0.08).unwrap();
         // Scale to a chosen at-node pressure.
@@ -497,7 +498,7 @@ mod tests {
                 carrier_hz: 15_000.0,
                 samples,
             },
-            p.fs_hz,
+            p.fs_hz(),
         )
     }
 
@@ -557,7 +558,7 @@ mod tests {
     fn fixed_toggle_mode_produces_square_switching() {
         let node = PabNode::new(1, 15_000.0).unwrap();
         let fs_hz = 192_000.0;
-        let p = Projector::new(36.0).unwrap();
+        let p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         let cw = p.continuous_wave(15_000.0, 1.0);
         let scale = 1500.0 / p.source_pressure_pa();
         let inc = IncidentComponent {

@@ -7,7 +7,7 @@
 //! frequency-flat across the sweep range: the recto-piezo under test is
 //! the only frequency-selective element.
 
-use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::CoreError;
 use pab_dsp::mix::Nco;
 use pab_net::packet::DownlinkQuery;
 use pab_net::pwm::{self, PwmTiming};
@@ -22,8 +22,9 @@ pub struct Projector {
     pub drive_voltage_v: f64,
     /// Downlink PWM timing.
     pub pwm: PwmTiming,
-    /// Sample rate for waveform synthesis, Hz.
-    pub fs_hz: f64,
+    /// Sample rate for waveform synthesis, Hz. Fixed at construction: the
+    /// link caches synthesised waveforms without the rate in the key.
+    fs_hz: f64,
     /// Oscillator frequency error, Hz (models the CFO between projector
     /// and receiver sound cards noted in §5.1(b), footnote 12).
     pub cfo_hz: f64,
@@ -32,8 +33,9 @@ pub struct Projector {
 }
 
 impl Projector {
-    /// A projector at `drive_voltage_v` with default timing and rate.
-    pub fn new(drive_voltage_v: f64) -> Result<Self, CoreError> {
+    /// A projector at `drive_voltage_v` synthesising at `fs_hz`, with
+    /// default timing.
+    pub fn new(drive_voltage_v: f64, fs_hz: f64) -> Result<Self, CoreError> {
         if !(drive_voltage_v > 0.0) || !drive_voltage_v.is_finite() {
             return Err(CoreError::InvalidConfig("drive_voltage_v"));
         }
@@ -41,10 +43,22 @@ impl Projector {
             transducer: Transducer::pab_projector(),
             drive_voltage_v,
             pwm: PwmTiming::pab_default(),
-            fs_hz: DEFAULT_SAMPLE_RATE_HZ,
+            fs_hz,
             cfo_hz: 0.0,
             settle_s: 0.08,
         })
+    }
+
+    /// Sample rate for waveform synthesis, Hz, fixed at construction. A
+    /// link's projector cannot be moved to another rate under its caches:
+    ///
+    /// ```compile_fail
+    /// use pab_core::link::{LinkConfig, LinkSimulator};
+    /// let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
+    /// sim.projector_mut().fs_hz = 96_000.0;
+    /// ```
+    pub fn fs_hz(&self) -> f64 {
+        self.fs_hz
     }
 
     /// Source pressure amplitude at 1 m, pascals (frequency-flat — see
@@ -127,21 +141,22 @@ impl Projector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_SAMPLE_RATE_HZ;
     use pab_dsp::goertzel::tone_amplitude;
     use pab_net::packet::Command;
 
     #[test]
     fn cw_has_requested_amplitude_and_frequency() {
-        let p = Projector::new(36.0).unwrap();
+        let p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         let w = p.continuous_wave(15_000.0, 0.1);
         assert_eq!(w.len(), 19_200);
-        let a = tone_amplitude(&w, 15_000.0, p.fs_hz);
+        let a = tone_amplitude(&w, 15_000.0, p.fs_hz());
         assert!((a - p.source_pressure_pa()).abs() / a < 0.01, "a={a}");
     }
 
     #[test]
     fn query_waveform_keys_the_carrier() {
-        let p = Projector::new(36.0).unwrap();
+        let p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         let q = DownlinkQuery {
             dest: 3,
             command: Command::Ping,
@@ -149,19 +164,19 @@ mod tests {
         let (w, query_end) = p.query_waveform(&q, 15_000.0, 0.05).unwrap();
         assert!(query_end > 0.0);
         // The PWM portion contains zero (carrier-off) stretches...
-        let query_n = (query_end * p.fs_hz) as usize;
+        let query_n = (query_end * p.fs_hz()) as usize;
         let zeros = w[..query_n].iter().filter(|&&x| x == 0.0).count();
         assert!(zeros > query_n / 10, "zeros={zeros}");
         // ...and the CW tail does not.
         let tail = &w[query_n..];
         assert!(tail.iter().all(|&x| x.abs() <= p.source_pressure_pa() * 1.001));
-        let tail_amp = tone_amplitude(tail, 15_000.0, p.fs_hz);
+        let tail_amp = tone_amplitude(tail, 15_000.0, p.fs_hz());
         assert!((tail_amp - p.source_pressure_pa()).abs() / tail_amp < 0.02);
     }
 
     #[test]
     fn query_duration_matches_pwm_timing() {
-        let p = Projector::new(36.0).unwrap();
+        let p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         let q = DownlinkQuery {
             dest: 0xFF,
             command: Command::Ping,
@@ -176,11 +191,11 @@ mod tests {
 
     #[test]
     fn cfo_shifts_the_carrier() {
-        let mut p = Projector::new(36.0).unwrap();
+        let mut p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         p.cfo_hz = 40.0;
         let w = p.continuous_wave(15_000.0, 0.5);
-        let on_freq = tone_amplitude(&w, 15_040.0, p.fs_hz);
-        let off_freq = tone_amplitude(&w, 15_000.0, p.fs_hz);
+        let on_freq = tone_amplitude(&w, 15_040.0, p.fs_hz());
+        let off_freq = tone_amplitude(&w, 15_000.0, p.fs_hz());
         assert!(on_freq > 10.0 * off_freq);
     }
 
@@ -195,8 +210,8 @@ mod tests {
 
     #[test]
     fn rejects_bad_config() {
-        assert!(Projector::new(0.0).is_err());
-        let p = Projector::new(36.0).unwrap();
+        assert!(Projector::new(0.0, DEFAULT_SAMPLE_RATE_HZ).is_err());
+        let p = Projector::new(36.0, DEFAULT_SAMPLE_RATE_HZ).unwrap();
         let q = DownlinkQuery {
             dest: 1,
             command: Command::Ping,

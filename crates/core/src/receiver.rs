@@ -205,8 +205,9 @@ pub struct Receiver {
     /// Hydrophone sensitivity, volts per pascal (H2a: −180 dB re 1 V/µPa
     /// = 1 mV/Pa).
     pub sensitivity_v_per_pa: f64,
-    /// Sample rate, Hz.
-    pub fs_hz: f64,
+    /// Sample rate, Hz. Fixed at construction: the design memo is keyed
+    /// by bitrate alone, so every memoised [`FrontEnd`] assumes this rate.
+    fs_hz: f64,
     front_ends: RefCell<HashMap<u64, Arc<FrontEnd>>>,
     scratch: RefCell<DecodeScratch>,
     fe_stats: Cell<FrontEndStats>,
@@ -276,6 +277,17 @@ impl Receiver {
             scratch: RefCell::new(DecodeScratch::default()),
             fe_stats: Cell::new(FrontEndStats::default()),
         }
+    }
+
+    /// Sample rate, Hz, fixed at construction. A receiver for another rate
+    /// is a new `Receiver`: the rate cannot be changed under the memo.
+    ///
+    /// ```compile_fail
+    /// let mut rx = pab_core::receiver::Receiver::new(1.0e-3, 192_000.0);
+    /// rx.fs_hz = 96_000.0;
+    /// ```
+    pub fn fs_hz(&self) -> f64 {
+        self.fs_hz
     }
 
     /// The memoised front-end for `bitrate_bps` at this receiver's
@@ -917,7 +929,7 @@ mod tests {
     fn clean_packet_decodes_with_crc() {
         let rx = Receiver::default();
         let p = test_packet();
-        let w = synth_waveform(&p, 2730.67, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+        let w = synth_waveform(&p, 2730.67, rx.fs_hz(), 15_000.0, 1.0, 0.4, 0.01);
         let d = rx.decode_uplink(&w, 15_000.0, 2730.67).unwrap();
         assert_eq!(d.packet.unwrap(), p);
         assert!(d.snr_db > 15.0, "snr={}", d.snr_db);
@@ -929,7 +941,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
         let rx = Receiver::default();
         let p = test_packet();
-        let mut w = synth_waveform(&p, 1024.0, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+        let mut w = synth_waveform(&p, 1024.0, rx.fs_hz(), 15_000.0, 1.0, 0.4, 0.01);
         pab_channel::noise::add_awgn(&mut w, 0.15, &mut rng);
         let d = rx.decode_uplink(&w, 15_000.0, 1024.0).unwrap();
         assert_eq!(d.packet.unwrap(), p);
@@ -955,7 +967,7 @@ mod tests {
         let rx = Receiver::default();
         let p = test_packet();
         for bitrate in [2730.67, 1024.0, 256.0] {
-            let w = synth_waveform(&p, bitrate, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+            let w = synth_waveform(&p, bitrate, rx.fs_hz(), 15_000.0, 1.0, 0.4, 0.01);
             let d = rx.decode_uplink(&w, 15_000.0, bitrate).unwrap();
             let v = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
             assert_eq!(d.packet.unwrap(), v.packet.unwrap(), "bitrate={bitrate}");
@@ -969,7 +981,7 @@ mod tests {
     fn repeated_decodes_are_deterministic_and_hit_the_front_end_cache() {
         let rx = Receiver::default();
         let p = test_packet();
-        let w = synth_waveform(&p, 1024.0, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+        let w = synth_waveform(&p, 1024.0, rx.fs_hz(), 15_000.0, 1.0, 0.4, 0.01);
         let a = rx.decode_uplink(&w, 15_000.0, 1024.0).unwrap();
         let b = rx.decode_uplink(&w, 15_000.0, 1024.0).unwrap();
         assert_eq!(a.bits, b.bits);
@@ -1055,10 +1067,10 @@ mod tests {
         envelope: &[f64],
         bitrate_bps: f64,
     ) -> Result<DecodeVerdict, CoreError> {
-        let spb_raw = rx.fs_hz / (2.0 * bitrate_bps);
+        let spb_raw = rx.fs_hz() / (2.0 * bitrate_bps);
         let decim = ((spb_raw / 16.0).floor() as usize).max(1);
-        let envelope = pab_dsp::resample::decimate(envelope, decim, rx.fs_hz)?;
-        let fs_hz = rx.fs_hz / decim as f64;
+        let envelope = pab_dsp::resample::decimate(envelope, decim, rx.fs_hz())?;
+        let fs_hz = rx.fs_hz() / decim as f64;
         let trend = butter_lowpass(2, (bitrate_bps / 20.0).max(2.0), fs_hz)?.filtfilt(&envelope);
         let centered: Vec<f64> = envelope.iter().zip(&trend).map(|(&e, &t)| e - t).collect();
         let halves = fm0::encode(&UPLINK_PREAMBLE, false);
@@ -1133,8 +1145,8 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let w = pab_channel::noise::awgn(20_000, 1.0, &mut rng);
         for (carrier, bitrate) in [(14_000.0, 1024.0), (19_000.0, 2730.67), (15_000.0, 50.0)] {
-            let lp = butter_lowpass(4, demod_cutoff_hz(bitrate, rx.fs_hz), rx.fs_hz).unwrap();
-            let want = lp.filtfilt_complex(&downconvert(&w, carrier, rx.fs_hz));
+            let lp = butter_lowpass(4, demod_cutoff_hz(bitrate, rx.fs_hz()), rx.fs_hz()).unwrap();
+            let want = lp.filtfilt_complex(&downconvert(&w, carrier, rx.fs_hz()));
             let got = rx.demodulate_complex(&w, carrier, bitrate).unwrap();
             assert_eq!(got.len(), want.len());
             for (g, c) in got.iter().zip(&want) {
@@ -1148,14 +1160,35 @@ mod tests {
     fn one_bitrate_builds_one_design() {
         let rx = Receiver::default();
         let p = test_packet();
-        let w = synth_waveform(&p, 1024.0, rx.fs_hz, 14_000.0, 1.0, 0.4, 0.01);
+        let w = synth_waveform(&p, 1024.0, rx.fs_hz(), 14_000.0, 1.0, 0.4, 0.01);
         rx.demodulate_complex(&w, 14_000.0, 1024.0).unwrap();
         rx.demodulate_complex(&w, 19_000.0, 1024.0).unwrap();
-        let stream = fm0_stream(&p, 1024.0, rx.fs_hz, 9);
+        let stream = fm0_stream(&p, 1024.0, rx.fs_hz(), 9);
         assert_eq!(rx.decode_envelope(&stream, 1024.0).unwrap().packet.unwrap(), p);
         let st = rx.frontend_stats();
         assert_eq!(st.design_misses, 1, "two bands and a stream at one bitrate share one design");
         assert_eq!(st.design_hits, 2);
+    }
+
+    #[test]
+    fn designs_follow_the_construction_rate() {
+        // The memo is keyed by bitrate alone, so each design must assume the
+        // rate the receiver was built at (writing the rate afterwards does
+        // not compile; see the `fs_hz` doctest). The same 1024 bps stream
+        // decimates by 5 at 192 kHz and by 2 at 96 kHz.
+        let p = test_packet();
+        for (fs_hz, decim) in [(192_000.0, 5), (96_000.0, 2)] {
+            let rx = Receiver::new(1.0e-3, fs_hz);
+            assert_eq!(rx.fs_hz(), fs_hz);
+            let w = synth_waveform(&p, 1024.0, fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+            for _ in 0..2 {
+                let got = rx.decode_uplink(&w, 15_000.0, 1024.0).unwrap();
+                assert_eq!(got.packet.unwrap(), p);
+            }
+            let st = rx.frontend_stats();
+            assert_eq!((st.design_misses, st.design_hits), (1, 1));
+            assert_eq!(st.samples_in.div_ceil(decim), st.samples_out, "at {fs_hz} Hz");
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() -> std::io::Result<()> {
     );
     let rx = Receiver::default();
     let bitrate = 1_024.0;
-    let (packet, w) = packet_waveform(bitrate, rx.fs_hz);
+    let (packet, w) = packet_waveform(bitrate, rx.fs_hz());
     let mut rng = ChaCha8Rng::seed_from_u64(3);
 
     // A slowly warming node oscillator drifts while the platform moves;
@@ -76,7 +76,7 @@ fn main() -> std::io::Result<()> {
     let mut rows = Vec::new();
     for &v in &[0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0] {
         let path = MovingPath::new(3.0, v, 1_500.0).expect("physical path");
-        let mut y = path.apply(&w, rx.fs_hz);
+        let mut y = path.apply(&w, rx.fs_hz());
         add_awgn(&mut y, 2e-3, &mut rng);
         let doppler = 15_000.0 - path.observed_frequency_hz(15_000.0);
         // What the receiver's CFO estimator faces 10 s into the pass if

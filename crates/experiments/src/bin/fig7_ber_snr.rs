@@ -62,7 +62,7 @@ const BASE_SEED: u64 = 42;
 /// RNG, returning per-bin (error, total) counts.
 fn run_cell(index: usize, bitrate: f64, sigma: f64) -> ([u64; BINS], [u64; BINS]) {
     let rx = Receiver::default();
-    let fs_hz = rx.fs_hz;
+    let fs_hz = rx.fs_hz();
     let mut rng = ChaCha8Rng::seed_from_u64(pab_sweep::derive_seed(BASE_SEED, index as u64));
     let mut errors = [0u64; BINS];
     let mut total = [0u64; BINS];

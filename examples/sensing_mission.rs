@@ -3,22 +3,27 @@
 //! The paper's motivating application (§1) is long-term ocean sensing:
 //! battery-free nodes measuring acidity, temperature and pressure for
 //! climate studies. This example simulates a moored node being polled
-//! daily as the water column changes, with the MAC's retransmission
-//! machinery handling bad days.
+//! daily as the water column changes. The reader's MAC (`ResilientMac`
+//! under a fixed-retry policy, §5.1(b)) re-requests corrupted packets on
+//! bad days.
 //!
 //! ```sh
 //! cargo run --release -p pab-core --example sensing_mission
 //! ```
 
 use pab_core::link::{LinkConfig, LinkSimulator};
-use pab_net::mac::{RetransmissionTracker, TxOutcome};
+use pab_net::mac::{ChannelPlan, MacPolicy, NodeEntry, ResilientMac, RxObservation, TxOutcome};
 use pab_net::packet::{Command, SensorKind};
 use pab_sensors::WaterSample;
 
 fn main() {
     println!("day | truth (pH, °C, mbar) | decoded | SNR dB | outcome");
     println!("----+----------------------+---------------------------+--------+--------");
-    let mut tracker = RetransmissionTracker::new(2);
+    // The reader's retry books: one node, three readings a day.
+    let plan = ChannelPlan::new(vec![15_000.0]).expect("plan");
+    let policy = MacPolicy::FixedRetry { max_retries: 2 };
+    let mut mac = ResilientMac::new(plan, policy, 14 * 3).expect("mac");
+    mac.register(NodeEntry { addr: 7, channel: 0 }).expect("register");
     let mut delivered = 0u32;
     for day in 0..14u32 {
         // Seasonal drift + a storm (elevated noise) mid-mission.
@@ -48,7 +53,12 @@ fn main() {
                 attempts += 1;
                 let report = sim.run_query(Command::ReadSensor(kind)).expect("query");
                 snr = snr.max(report.snr_db);
-                let outcome = tracker.record(7, report.crc_ok);
+                let obs = RxObservation::from_decode(
+                    report.preamble_found,
+                    report.crc_ok,
+                    report.preamble_corr,
+                );
+                let outcome = mac.record(7, obs).expect("registered node");
                 match outcome {
                     TxOutcome::Delivered => {
                         readings.push(report.packet.and_then(|p| p.sensor_value()));
@@ -88,7 +98,7 @@ fn main() {
             }
         );
     }
-    let (ok, dropped) = tracker.stats(7);
+    let (ok, dropped) = mac.stats(7);
     println!();
     println!(
         "mission summary: {delivered}/14 days complete | packets delivered {ok}, dropped {dropped}"

@@ -39,8 +39,8 @@ echo "==> ext_collision_faultnet --quick  (collision-slot smoke: pairing, traini
 cargo run --release -q -p pab-experiments --bin ext_collision_faultnet -- --quick
 [ -s results/ext_collision_faultnet.csv ] || { echo "missing results/ext_collision_faultnet.csv"; exit 1; }
 
-echo "==> quick smokes  (committed collision CSV and fault trace exports must regenerate byte-identical)"
-git diff --exit-code -- results/ext_collision_faultnet.csv results/fault_trace.csv results/fault_trace_summary.csv results/fault_trace.bin
+echo "==> quick smokes  (committed fault-resilience and collision CSVs and fault trace exports must regenerate byte-identical)"
+git diff --exit-code -- results/ext_fault_resilience.csv results/ext_collision_faultnet.csv results/fault_trace.csv results/fault_trace_summary.csv results/fault_trace.bin
 
 echo "==> fig10_concurrent + ext_three_channels  (collision engine: committed CSVs must regenerate byte-identical)"
 cargo run --release -q -p pab-experiments --bin fig10_concurrent > /dev/null
@@ -51,6 +51,16 @@ echo "==> dump_identity + fig2_waveform  (faultnet/collision identity snapshot a
 cargo run --release -q -p pab-experiments --bin dump_identity -- results/identity > /dev/null
 cargo run --release -q -p pab-experiments --bin fig2_waveform > /dev/null
 git diff --exit-code -- results/identity results/fig2_waveform.csv results/fig2_envelope.wav
+
+echo "==> figure and extension binaries  (every other committed results/ CSV must regenerate byte-identical)"
+for bin in fig3_rectopiezo fig7_ber_snr fig8_snr_bitrate fig9_range fig11_power \
+    ext_mobility ext_future_work app_sensing baseline_active; do
+    cargo run --release -q -p pab-experiments --bin "$bin" > /dev/null
+done
+git diff --exit-code -- results/fig3_rectopiezo.csv results/fig7_ber_snr.csv \
+    results/fig8_snr_bitrate.csv results/fig9_range.csv results/fig11_power.csv \
+    results/ext_mobility.csv results/ext_battery_assist.csv results/ext_open_water.csv \
+    results/app_sensing.csv results/baseline_active.csv
 
 echo "==> perfbench tests  (the benchmark still builds against the library API and passes its correctness gate)"
 cargo test --release --manifest-path perfbench/Cargo.toml

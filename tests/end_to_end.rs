@@ -52,7 +52,8 @@ fn sequence_resets_on_each_power_cycle() {
     // A battery-free node cold-starts on every illumination, so its RAM
     // (including the sequence counter) resets: two independent exchanges
     // both carry seq 0. Retransmission bookkeeping therefore lives at the
-    // reader (RetransmissionTracker), exactly as in RFID systems.
+    // reader (ResilientMac's per-node retry books), exactly as in RFID
+    // systems.
     let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
     let seq0 = sim
         .run_query(Command::Ping)
@@ -132,12 +133,13 @@ fn more_ambient_noise_reduces_snr() {
 
 #[test]
 fn inventory_round_over_real_acoustics() {
-    // MAC + PHY together: an InventoryRound polls two nodes on the
-    // paper's two channels; every scheduled query is carried over the
+    // MAC + PHY together: a fixed-retry inventory round polls two nodes on
+    // the paper's two channels; every scheduled query is carried over the
     // full acoustic simulation.
-    use pab_net::mac::{ChannelPlan, InventoryRound, NodeEntry};
+    use pab_net::mac::{ChannelPlan, MacPolicy, NodeEntry, ResilientMac, RxObservation};
 
-    let mut round = InventoryRound::new(ChannelPlan::paper_two_channel(), 2, 1);
+    let policy = MacPolicy::FixedRetry { max_retries: 1 };
+    let mut round = ResilientMac::new(ChannelPlan::paper_two_channel(), policy, 2).unwrap();
     round.register(NodeEntry { addr: 1, channel: 0 }).unwrap();
     round.register(NodeEntry { addr: 2, channel: 1 }).unwrap();
 
@@ -158,10 +160,15 @@ fn inventory_round_over_real_acoustics() {
     while !round.is_complete() {
         slots += 1;
         assert!(slots < 10, "inventory did not converge");
-        for q in round.next_slot(Command::Ping) {
+        for q in round.next_slot_plan(Command::Ping, |_| true).queries {
             let sim = sims.get_mut(&q.query.dest).unwrap();
             let report = sim.run_query(Command::Ping).unwrap();
-            round.record(q.query.dest, report.crc_ok);
+            let obs = RxObservation::from_decode(
+                report.preamble_found,
+                report.crc_ok,
+                report.preamble_corr,
+            );
+            round.record(q.query.dest, obs).unwrap();
         }
     }
     assert_eq!(round.stats(1).0, 2);

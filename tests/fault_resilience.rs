@@ -6,7 +6,7 @@
 use pab_channel::{BroadbandBurst, DropoutWindow, FaultSchedule};
 use pab_core::faultnet::{FaultNetConfig, FaultNetSimulator};
 use pab_core::{LinkConfig, LinkSimulator};
-use pab_net::mac::{ChannelPlan, InventoryRound, MacPolicy, NodeEntry};
+use pab_net::mac::{ChannelPlan, MacPolicy, NodeEntry, ResilientMac, RxObservation};
 use pab_net::packet::Command;
 
 /// A loud broadband burst covering the start of the run: exchanges inside
@@ -23,23 +23,25 @@ fn bursty_schedule(seed: u64, until_s: f64) -> FaultSchedule {
 
 #[test]
 fn inventory_round_retransmits_through_a_lossy_link() {
-    // The plain InventoryRound + RetransmissionTracker, fed by real
-    // decodes: during the burst the CRC fails and the tracker retries /
-    // drops; once the burst passes, deliveries complete the round.
+    // A fixed-retry round, fed by real decodes: during the burst the CRC
+    // fails and the MAC retries / drops; once the burst passes, deliveries
+    // complete the round.
     let faults = bursty_schedule(7, 1.0);
     let cfg = LinkConfig {
         fs_hz: 96_000.0,
         ..Default::default()
     };
     let mut sim = LinkSimulator::new(cfg).unwrap();
-    let mut round = InventoryRound::new(ChannelPlan::new(vec![15_000.0]).unwrap(), 2, 1);
+    let policy = MacPolicy::FixedRetry { max_retries: 1 };
+    let plan = ChannelPlan::new(vec![15_000.0]).unwrap();
+    let mut round = ResilientMac::new(plan, policy, 2).unwrap();
     round.register(NodeEntry { addr: 7, channel: 0 }).unwrap();
 
     let mut t_now_s = 0.0;
     let mut failures = 0u64;
     while !round.is_complete() {
         assert!(round.slots_used() < 40, "round did not converge");
-        for q in round.next_slot(Command::Ping) {
+        for q in round.next_slot_plan(Command::Ping, |_| true).queries {
             let report = sim
                 .run_query_to_faulted(q.query.dest, Command::Ping, &faults, t_now_s)
                 .unwrap();
@@ -47,7 +49,12 @@ fn inventory_round_retransmits_through_a_lossy_link() {
             if !report.crc_ok {
                 failures += 1;
             }
-            round.record(q.query.dest, report.crc_ok);
+            let obs = RxObservation::from_decode(
+                report.preamble_found,
+                report.crc_ok,
+                report.preamble_corr,
+            );
+            round.record(q.query.dest, obs).unwrap();
         }
     }
     let (delivered, dropped) = round.stats(7);
